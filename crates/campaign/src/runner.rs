@@ -116,8 +116,9 @@ pub fn derive_seed(master: u64, key: &str) -> u64 {
 /// optimized strategies on one axis point, or the same trial over
 /// different verifier channels) build byte-identical worlds. The cache
 /// builds each such world once and hands every cell a copy-on-write
-/// [`Arena::branch`]: unmaterialized shards stay shared, and the branch
-/// replays exactly as a fresh build would. Thread-safe, so the grid
+/// [`Arena::branch`]: the data center's genesis, and every host shard any
+/// cell generates into it, stays shared, and the branch replays — metrics
+/// included — exactly as a fresh build would. Thread-safe, so the grid
 /// executor shares one cache across its workers at any `--jobs` value.
 #[derive(Debug, Default)]
 pub struct WorldCache {

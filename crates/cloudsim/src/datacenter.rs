@@ -7,7 +7,7 @@
 //! container instances, which is why an attacker covering ~59% of a data
 //! center's hosts can still cover ~98% of victim *instances* (Section 5.2).
 //!
-//! # Lazy sharded materialization
+//! # Lazy, immutable genesis
 //!
 //! Generating a host (boot-time waves, crystal error, refinement, noise
 //! profile) costs the better part of a microsecond, which at region scale
@@ -25,23 +25,22 @@
 //! [`Zipf::weight_of`]`(r, s)`, so popularity lanes and sampler weights are
 //! computable for the whole pool without materializing any host.
 //!
-//! # Copy-on-write shards
+//! Because every shard is a pure function of the seed, generated shards are
+//! immutable and belong to the genesis, which every clone of the data
+//! center (see `World::branch`) shares: a shard is generated at most once
+//! per pool, by whichever branch touches it first. Nothing ever writes
+//! through a shard. Residency is the orchestrator's occupancy index, and a
+//! maintenance reboot — the one change to a host's fingerprint state —
+//! lands in a small per-data-center overlay of rebooted hosts.
 //!
-//! Shards are stored as `Arc`s: cloning a data center (see
-//! `World::branch`) shares every materialized shard, and
-//! [`DataCenter::host_mut`] breaks sharing per shard on first write. A
-//! branch therefore costs O(shards touched), not O(hosts).
-//!
-//! # Struct-of-arrays lanes
-//!
-//! Each materialized shard also carries contiguous per-host lanes
-//! ([`HostLanes`]: boot ns, crystal error, refined kHz, popularity) for
-//! bulk readers of the fingerprint state behind Eq. 4.1/4.2. The lanes
-//! mirror the host structs exactly — [`DataCenter::reboot_host`] is the one
-//! lane-mutating operation and refreshes the affected row.
+//! Each data center still records which shards *it* has touched, so
+//! [`DataCenter::materialized_hosts`] and the `cloudsim.hosts_generated`
+//! counter describe one world's history — the hosts it needed, counted as
+//! if it had generated them itself — whatever its sibling branches did.
 
-use std::cell::OnceCell;
-use std::sync::Arc;
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use eaao_simcore::dist::Zipf;
 use eaao_simcore::rng::SimRng;
@@ -51,97 +50,60 @@ use rand::RngCore;
 
 use crate::cpu::{default_catalog, CpuModel, CpuModelId};
 use crate::host::{Host, HostGenConfig};
-use crate::ids::{HostId, InstanceId};
+use crate::ids::HostId;
 
 /// Hosts per materialization shard. Small enough that a sparse workload
 /// touching a few hundred scattered hosts generates thousands, not
 /// millions; large enough to amortize the per-shard allocation.
 const SHARD_SIZE: usize = 64;
 
-/// The immutable generation-time description the lazy pool is derived
-/// from: everything needed to materialize any host on demand.
+/// The immutable description the lazy pool is derived from, plus the
+/// shards and pool-wide lanes derived from it. Every cell fills at most
+/// once, with data that is a pure function of the construction seed, so
+/// sharing the fills across branches cannot change what any branch sees.
 #[derive(Debug)]
 struct Genesis {
+    name: String,
     config: HostGenConfig,
     popularity_exponent: f64,
     /// Catalog entries with their sampling weights.
-    catalog_weighted: Vec<(CpuModel, f64)>,
+    catalog: Vec<(CpuModel, f64)>,
     /// Popularity rank of host `i` (a shuffled permutation of `0..n`).
     ranks: Vec<u32>,
     /// Base of the per-host keyed RNG streams.
     stream_base: u64,
-}
-
-/// Contiguous struct-of-arrays lanes over one shard's hosts: the
-/// fingerprint-bearing state of Eq. 4.1/4.2 plus the popularity weight,
-/// one entry per host in id order within the shard.
-#[derive(Debug, Clone, Default)]
-pub struct HostLanes {
-    /// Host boot time in nanoseconds (Eq. 4.1 ground truth).
-    pub boot_ns: Vec<i64>,
-    /// Signed crystal error ε in Hz (Eq. 4.2 ground truth).
-    pub epsilon_hz: Vec<f64>,
-    /// Kernel-refined frequency in kHz (the Gen 2 fingerprint).
-    pub refined_khz: Vec<f64>,
-    /// Orchestrator popularity weight.
-    pub popularity: Vec<f64>,
-}
-
-impl HostLanes {
-    fn push(&mut self, host: &Host) {
-        self.boot_ns.push(host.boot_time().as_nanos());
-        self.epsilon_hz.push(host.epsilon_hz());
-        self.refined_khz
-            .push(host.refined_frequency().as_khz() as f64);
-        self.popularity.push(host.popularity());
-    }
-
-    fn refresh(&mut self, offset: usize, host: &Host) {
-        self.boot_ns[offset] = host.boot_time().as_nanos();
-        self.epsilon_hz[offset] = host.epsilon_hz();
-        self.refined_khz[offset] = host.refined_frequency().as_khz() as f64;
-        self.popularity[offset] = host.popularity();
-    }
-}
-
-/// One materialized block of hosts plus its struct-of-arrays lanes.
-#[derive(Debug, Clone)]
-struct Shard {
-    hosts: Vec<Host>,
-    lanes: HostLanes,
+    /// The generated hosts, `SHARD_SIZE` per cell in id order.
+    shards: Vec<OnceLock<Box<[Host]>>>,
+    /// Fixed-point popularity lane for the whole pool (sampler weights),
+    /// computed from ranks alone — no host materialization.
+    pop_fixed: OnceLock<Arc<Vec<u64>>>,
+    /// Inverse rank permutation (hosts in popularity order).
+    by_rank: OnceLock<Arc<Vec<HostId>>>,
+    /// Fenwick tree over `pop_fixed`, shared by every popularity-weighted
+    /// sampler built over this pool.
+    pop_tree: OnceLock<Arc<Vec<u64>>>,
 }
 
 /// A population of physical hosts sharing a region.
 #[derive(Debug)]
 pub struct DataCenter {
-    name: String,
-    catalog: Vec<CpuModel>,
     genesis: Arc<Genesis>,
-    shards: Vec<OnceCell<Arc<Shard>>>, // tidy:allow(cow-aliasing) -- genesis lane: each cell fills exactly once with data derived purely from the construction seed, so every branch that races to fill it computes the same shard.
-    /// Cached fixed-point popularity lane for the whole pool (sampler
-    /// weights), computed from ranks alone — no host materialization.
-    pop_fixed: OnceCell<Arc<Vec<u64>>>, // tidy:allow(cow-aliasing) -- genesis lane: fills once from the rank permutation fixed at construction; identical in every branch.
-    /// Cached inverse rank permutation (hosts in popularity order).
-    by_rank: OnceCell<Arc<Vec<HostId>>>, // tidy:allow(cow-aliasing) -- genesis lane: fills once from the rank permutation fixed at construction; identical in every branch.
-    /// Cached Fenwick tree over `pop_fixed`, shared by every
-    /// popularity-weighted sampler built over this pool.
-    pop_tree: OnceCell<Arc<Vec<u64>>>, // tidy:allow(cow-aliasing) -- genesis lane: a pure function of `pop_fixed`, which is itself fixed at construction; identical in every branch.
+    /// One bit per shard this data center has touched.
+    touched: Vec<Cell<u64>>, // tidy:allow(cow-aliasing) -- cloned by value, so every branch owns its bits; the cells only let `&self` readers record a first touch.
+    /// Hosts rebooted in this data center, shadowing their genesis state.
+    rebooted: BTreeMap<HostId, Host>,
 }
 
 impl Clone for DataCenter {
     // Written by hand so the share-vs-detach decision per field is explicit
-    // (the fork-coverage contract): every lane here is genesis data —
-    // immutable once filled and derived purely from the construction seed —
-    // so branches share the backing Arcs rather than detaching.
+    // (the fork-coverage contract): the genesis is immutable and shared;
+    // the touch record and the reboot overlay are this world's own history
+    // and are copied.
     fn clone(&self) -> Self {
         DataCenter {
-            name: self.name.clone(),
-            catalog: self.catalog.clone(),
             genesis: Arc::clone(&self.genesis),
-            shards: self.shards.clone(),
-            pop_fixed: self.pop_fixed.clone(),
-            by_rank: self.by_rank.clone(),
-            pop_tree: self.pop_tree.clone(),
+            touched: self.touched.clone(),
+            rebooted: self.rebooted.clone(),
         }
     }
 }
@@ -169,8 +131,6 @@ impl DataCenter {
         assert!(host_count > 0, "a data center needs hosts");
         let mut generate_span = eaao_obs::span("cloudsim.datacenter.generate");
         generate_span.u64_field("hosts", host_count as u64);
-        let catalog_weighted = default_catalog();
-        let catalog: Vec<CpuModel> = catalog_weighted.iter().map(|(m, _)| m.clone()).collect();
 
         // Popularity ranks: shuffle so rank is independent of host id.
         let mut ranks: Vec<u32> = (0..host_count as u32).collect();
@@ -179,20 +139,22 @@ impl DataCenter {
         // SimRng::keyed(stream_base, i) when (if ever) it is first touched.
         let stream_base = rng.next_u64();
 
+        let shard_count = host_count.div_ceil(SHARD_SIZE);
         DataCenter {
-            name: name.into(),
-            catalog,
             genesis: Arc::new(Genesis {
+                name: name.into(),
                 config: *host_config,
                 popularity_exponent,
-                catalog_weighted,
+                catalog: default_catalog(),
                 ranks,
                 stream_base,
+                shards: (0..shard_count).map(|_| OnceLock::new()).collect(),
+                pop_fixed: OnceLock::new(),
+                by_rank: OnceLock::new(),
+                pop_tree: OnceLock::new(),
             }),
-            shards: vec![OnceCell::new(); host_count.div_ceil(SHARD_SIZE)],
-            pop_fixed: OnceCell::new(),
-            by_rank: OnceCell::new(),
-            pop_tree: OnceCell::new(),
+            touched: vec![Cell::new(0); shard_count.div_ceil(64)],
+            rebooted: BTreeMap::new(),
         }
     }
 
@@ -212,8 +174,8 @@ impl DataCenter {
     fn generate_host(&self, i: usize) -> Host {
         let genesis = &*self.genesis;
         let mut rng = SimRng::keyed(genesis.stream_base, i as u64);
-        let model_idx = Self::sample_model(&genesis.catalog_weighted, &mut rng);
-        let nominal = self.catalog[model_idx].nominal_frequency();
+        let model_idx = Self::sample_model(&genesis.catalog, &mut rng);
+        let nominal = genesis.catalog[model_idx].0.nominal_frequency();
         Host::generate(
             HostId::from_raw(i as u32),
             CpuModelId::from_index(model_idx),
@@ -225,37 +187,30 @@ impl DataCenter {
         )
     }
 
-    fn shard_of(id: HostId) -> (usize, usize) {
-        let i = id.as_usize();
-        (i / SHARD_SIZE, i % SHARD_SIZE)
+    fn shard_len(&self, index: usize) -> usize {
+        SHARD_SIZE.min(self.len() - index * SHARD_SIZE)
     }
 
-    // tidy:allow(panic-reachability) -- `index` comes from shard_of on ids below `len`, and `shards` was sized to cover the whole pool at construction.
-    fn shard(&self, index: usize) -> &Arc<Shard> {
-        self.shards[index].get_or_init(|| {
+    /// The hosts of shard `index`, generated into the shared genesis on
+    /// the pool's first touch and recorded as touched by this data center.
+    // tidy:allow(panic-reachability) -- `index` comes from an id below `len`, and `shards`/`touched` were sized to cover the whole pool at construction.
+    fn shard(&self, index: usize) -> &[Host] {
+        let (word, bit) = (&self.touched[index / 64], 1u64 << (index % 64));
+        if word.get() & bit == 0 {
+            word.set(word.get() | bit);
+            eaao_obs::count("cloudsim.hosts_generated", self.shard_len(index) as u64);
+        }
+        self.genesis.shards[index].get_or_init(|| {
             let lo = index * SHARD_SIZE;
-            let hi = (lo + SHARD_SIZE).min(self.len());
-            eaao_obs::count("cloudsim.hosts_generated", (hi - lo) as u64);
-            let hosts: Vec<Host> = (lo..hi).map(|i| self.generate_host(i)).collect();
-            let mut lanes = HostLanes::default();
-            for host in &hosts {
-                lanes.push(host);
-            }
-            Arc::new(Shard { hosts, lanes })
+            (lo..lo + self.shard_len(index))
+                .map(|i| self.generate_host(i))
+                .collect()
         })
-    }
-
-    fn shard_mut(&mut self, index: usize) -> &mut Shard {
-        self.shard(index);
-        let arc = self.shards[index]
-            .get_mut()
-            .expect("shard was just materialized");
-        Arc::make_mut(arc)
     }
 
     /// The region name (e.g. `"us-east1"`).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.genesis.name
     }
 
     /// Number of hosts.
@@ -274,19 +229,11 @@ impl DataCenter {
     ///
     /// Panics if the id is out of range.
     pub fn host(&self, id: HostId) -> &Host {
-        let (shard, offset) = Self::shard_of(id);
-        &self.shard(shard).hosts[offset]
-    }
-
-    /// Mutably borrows a host, materializing its shard on first touch and
-    /// breaking copy-on-write sharing with any branches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn host_mut(&mut self, id: HostId) -> &mut Host {
-        let (shard, offset) = Self::shard_of(id);
-        &mut self.shard_mut(shard).hosts[offset]
+        if let Some(host) = self.rebooted.get(&id) {
+            return host;
+        }
+        let i = id.as_usize();
+        &self.shard(i / SHARD_SIZE)[i % SHARD_SIZE]
     }
 
     /// Iterates all hosts in id order.
@@ -296,7 +243,7 @@ impl DataCenter {
     /// genesis accessors ([`DataCenter::popularity_weights`],
     /// [`DataCenter::host_capacity`]) instead.
     pub fn hosts(&self) -> impl Iterator<Item = &Host> {
-        (0..self.len()).map(move |i| self.host(HostId::from_raw(i as u32)))
+        self.host_ids().map(move |id| self.host(id))
     }
 
     /// All host ids.
@@ -310,7 +257,7 @@ impl DataCenter {
     ///
     /// Panics if the id is out of range.
     pub fn cpu_model(&self, id: CpuModelId) -> &CpuModel {
-        &self.catalog[id.index()]
+        &self.genesis.catalog[id.index()].0
     }
 
     /// The CPU model record of a host.
@@ -318,35 +265,19 @@ impl DataCenter {
         self.cpu_model(self.host(host).cpu_model())
     }
 
-    /// Reboots a host for maintenance; returns the displaced instances
-    /// (the caller must terminate them).
-    ///
-    /// This is the lane-preserving reboot entry: the host's fingerprint
-    /// row in [`HostLanes`] is refreshed alongside the struct.
+    /// Reboots a host for maintenance at `now`: its TSC zero point moves
+    /// and the kernel re-runs frequency refinement. The rebooted host
+    /// shadows the genesis one in this data center only; displacing its
+    /// instances is the caller's job.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
-    pub fn reboot_host(&mut self, host: HostId, now: SimTime) -> Vec<InstanceId> {
+    pub fn reboot_host(&mut self, host: HostId, now: SimTime) {
         eaao_obs::count("cloudsim.host_reboots", 1);
-        let (shard, offset) = Self::shard_of(host);
-        let shard = self.shard_mut(shard);
-        let displaced = shard.hosts[offset].reboot(now);
-        let host = &shard.hosts[offset];
-        shard.lanes.refresh(offset, host);
-        displaced
-    }
-
-    /// Total instances currently resident across all hosts.
-    ///
-    /// Only materialized shards are scanned: a host that was never touched
-    /// cannot have residents.
-    pub fn resident_instances(&self) -> usize {
-        self.shards
-            .iter()
-            .filter_map(OnceCell::get)
-            .map(|shard| shard.hosts.iter().map(Host::resident_count).sum::<usize>())
-            .sum()
+        let mut rebooted = self.host(host).clone();
+        rebooted.reboot(now);
+        self.rebooted.insert(host, rebooted);
     }
 
     /// The uniform per-host instance capacity (a genesis parameter; no
@@ -372,10 +303,7 @@ impl DataCenter {
     ///
     /// Panics if the id is out of range.
     pub fn popularity_of(&self, host: HostId) -> f64 {
-        Zipf::weight_of(
-            self.genesis.ranks[host.as_usize()] as usize,
-            self.genesis.popularity_exponent,
-        )
+        Zipf::weight_of(self.popularity_rank(host), self.genesis.popularity_exponent)
     }
 
     /// The fixed-point popularity lane for the whole pool — the sampler
@@ -383,8 +311,8 @@ impl DataCenter {
     /// and shared by every index built over this pool (and, via `Arc`, by
     /// every branch).
     pub fn popularity_weights(&self) -> Arc<Vec<u64>> {
-        Arc::clone(self.pop_fixed.get_or_init(|| {
-            let genesis = &*self.genesis;
+        let genesis = &*self.genesis;
+        Arc::clone(genesis.pop_fixed.get_or_init(|| {
             Arc::new(
                 genesis
                     .ranks
@@ -408,8 +336,8 @@ impl DataCenter {
     /// at exponent 0 (uniform weights) rank order is the canonical order.
     // tidy:allow(panic-reachability) -- `genesis.ranks` is a permutation of `0..len` by construction (`DataCenter::generate` deals ranks from a shuffled deck), so every rank indexes within `order`.
     pub fn hosts_by_popularity(&self) -> Arc<Vec<HostId>> {
-        Arc::clone(self.by_rank.get_or_init(|| {
-            let ranks = &self.genesis.ranks;
+        let ranks = &self.genesis.ranks;
+        Arc::clone(self.genesis.by_rank.get_or_init(|| {
             let mut order = vec![HostId::from_raw(0); ranks.len()];
             for (i, &rank) in ranks.iter().enumerate() {
                 order[rank as usize] = HostId::from_raw(i as u32);
@@ -424,7 +352,8 @@ impl DataCenter {
     /// [`FenwickSampler::from_shared`](eaao_simcore::wsample::FenwickSampler::from_shared).
     pub fn popularity_fenwick_tree(&self) -> Arc<Vec<u64>> {
         Arc::clone(
-            self.pop_tree
+            self.genesis
+                .pop_tree
                 .get_or_init(|| Arc::new(fenwick_tree(&self.popularity_weights()))),
         )
     }
@@ -432,27 +361,21 @@ impl DataCenter {
     /// Materializes every shard (the eager path: reference-engine worlds
     /// and differential tests).
     pub fn materialize_all(&self) {
-        for index in 0..self.shards.len() {
+        for index in 0..self.genesis.shards.len() {
             self.shard(index);
         }
     }
 
-    /// Number of hosts currently materialized.
+    /// Number of hosts this data center has materialized (touched shards,
+    /// whichever branch generated them).
     pub fn materialized_hosts(&self) -> usize {
-        self.shards
-            .iter()
-            .filter_map(OnceCell::get)
-            .map(|shard| shard.hosts.len())
+        (0..self.genesis.shards.len())
+            .filter(|&index| {
+                let word = self.touched.get(index / 64).map_or(0, Cell::get);
+                word & (1 << (index % 64)) != 0
+            })
+            .map(|index| self.shard_len(index))
             .sum()
-    }
-
-    /// Iterates the materialized shards' struct-of-arrays lanes as
-    /// `(first_host_id, lanes)` pairs, in id order.
-    pub fn materialized_lanes(&self) -> impl Iterator<Item = (HostId, &HostLanes)> {
-        self.shards.iter().enumerate().filter_map(|(index, cell)| {
-            cell.get()
-                .map(|shard| (HostId::from_raw((index * SHARD_SIZE) as u32), &shard.lanes))
-        })
     }
 }
 
@@ -472,7 +395,6 @@ mod tests {
         assert_eq!(dc.len(), 100);
         assert!(!dc.is_empty());
         assert_eq!(dc.host_ids().count(), 100);
-        assert_eq!(dc.resident_instances(), 0);
     }
 
     #[test]
@@ -512,26 +434,42 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_shards_and_writes_unshare() {
-        let mut a = dc(12, 200);
+    fn clones_share_generated_shards_but_not_their_history() {
+        let a = dc(12, 200);
         let _ = a.host(HostId::from_raw(0));
-        let mut b = a.clone();
-        // The clone sees the already-materialized shard without work.
+        let b = a.clone();
+        // The clone inherits what the original had touched...
         assert_eq!(b.materialized_hosts(), SHARD_SIZE);
-        // A write to the branch never perturbs the parent.
-        b.host_mut(HostId::from_raw(0))
-            .admit(InstanceId::from_raw(1));
-        assert_eq!(b.resident_instances(), 1);
-        assert_eq!(a.resident_instances(), 0);
-        // And vice versa.
-        a.host_mut(HostId::from_raw(0))
-            .admit(InstanceId::from_raw(2));
-        assert!(b
-            .host(HostId::from_raw(0))
-            .hosts_instance(InstanceId::from_raw(1)));
-        assert!(!b
-            .host(HostId::from_raw(0))
-            .hosts_instance(InstanceId::from_raw(2)));
+        // ...and a shard first touched by the clone counts in the clone's
+        // history only, but is generated once, for both.
+        let far = HostId::from_raw(150);
+        let _ = b.host(far);
+        assert_eq!(b.materialized_hosts(), 2 * SHARD_SIZE);
+        assert_eq!(a.materialized_hosts(), SHARD_SIZE);
+        assert!(std::ptr::eq(a.host(far), b.host(far)));
+    }
+
+    #[test]
+    fn a_reboot_shadows_the_host_in_one_data_center_only() {
+        let a = dc(14, 100);
+        let mut b = a.clone();
+        let id = HostId::from_raw(42);
+        let genesis_boot = a.host(id).boot_time();
+        b.reboot_host(id, SimTime::from_secs(60));
+        assert_eq!(b.host(id).boot_time(), SimTime::from_secs(60));
+        assert_eq!(b.host(id).actual_frequency(), a.host(id).actual_frequency());
+        assert_eq!(
+            a.host(id).boot_time(),
+            genesis_boot,
+            "the sibling never rebooted"
+        );
+        // A second reboot starts from the first one's state.
+        b.reboot_host(id, SimTime::from_secs(120));
+        assert_eq!(b.host(id).boot_time(), SimTime::from_secs(120));
+        assert_eq!(
+            b.hosts().filter(|h| h.boot_time() > SimTime::ZERO).count(),
+            1
+        );
     }
 
     #[test]
@@ -548,35 +486,11 @@ mod tests {
                 fixed_weight(host.popularity()),
                 "host {id}"
             );
-            assert_eq!(host.capacity(), dc.host_capacity());
         }
         // Popularity order is strictly descending at a positive exponent.
         for pair in order.windows(2) {
             assert!(dc.popularity_of(pair[0]) > dc.popularity_of(pair[1]));
         }
-    }
-
-    #[test]
-    fn lanes_mirror_host_structs_through_reboot() {
-        let mut dc = dc(14, 100);
-        dc.materialize_all();
-        dc.reboot_host(HostId::from_raw(42), SimTime::from_secs(60));
-        let mut seen = 0;
-        for (base, lanes) in dc.materialized_lanes() {
-            for offset in 0..lanes.boot_ns.len() {
-                let id = HostId::from_raw(base.as_raw() + offset as u32);
-                let host = dc.host(id);
-                assert_eq!(lanes.boot_ns[offset], host.boot_time().as_nanos());
-                assert_eq!(lanes.epsilon_hz[offset], host.epsilon_hz());
-                assert_eq!(
-                    lanes.refined_khz[offset],
-                    host.refined_frequency().as_khz() as f64
-                );
-                assert_eq!(lanes.popularity[offset], host.popularity());
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, 100);
     }
 
     #[test]
@@ -616,18 +530,6 @@ mod tests {
         boots.sort_unstable();
         boots.dedup();
         assert!(boots.len() > 90, "boot times should mostly differ");
-    }
-
-    #[test]
-    fn reboot_host_routes_to_host() {
-        let mut dc = dc(5, 10);
-        let id = HostId::from_raw(3);
-        dc.host_mut(id).admit(InstanceId::from_raw(77));
-        assert_eq!(dc.resident_instances(), 1);
-        let displaced = dc.reboot_host(id, SimTime::from_secs(60));
-        assert_eq!(displaced, vec![InstanceId::from_raw(77)]);
-        assert_eq!(dc.host(id).boot_time(), SimTime::from_secs(60));
-        assert_eq!(dc.resident_instances(), 0);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * a syscall-clock noise profile (normal vs problematic hosts),
 //! * a popularity weight (how strongly the orchestrator's scoring favors
 //!   this host; see `eaao-orchestrator`).
-
-use std::collections::BTreeSet;
+//!
+//! Which instances run on a host is not host state: the orchestrator's
+//! occupancy index records it.
 
 use eaao_simcore::dist::{Exponential, LogNormal, Normal, Sample};
 use eaao_simcore::rng::SimRng;
@@ -24,7 +25,7 @@ use eaao_tsc::freq::TscFrequency;
 use eaao_tsc::refine::RefinedTscFrequency;
 
 use crate::cpu::CpuModelId;
-use crate::ids::{HostId, InstanceId};
+use crate::ids::HostId;
 use crate::membus::MemoryBus;
 use crate::rng_unit::RngUnit;
 
@@ -108,11 +109,9 @@ pub struct Host {
     rng_unit: RngUnit,
     membus: MemoryBus,
     popularity: f64,
-    capacity: usize,
     epsilon_hz: f64,
     refine_rng: SimRng,
     refine_error_std_hz: f64,
-    residents: BTreeSet<InstanceId>,
 }
 
 impl Host {
@@ -149,11 +148,9 @@ impl Host {
             ),
             membus: MemoryBus::default(),
             popularity,
-            capacity: config.capacity,
             epsilon_hz,
             refine_rng,
             refine_error_std_hz: config.refine_error_std_hz,
-            residents: BTreeSet::new(),
         }
     }
 
@@ -259,63 +256,13 @@ impl Host {
         self.popularity
     }
 
-    /// Instance slots on this host.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Remaining free slots.
-    pub fn free_slots(&self) -> usize {
-        self.capacity.saturating_sub(self.residents.len())
-    }
-
-    /// Instances currently resident.
-    pub fn residents(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.residents.iter().copied()
-    }
-
-    /// Number of resident instances.
-    pub fn resident_count(&self) -> usize {
-        self.residents.len()
-    }
-
-    /// Whether `instance` runs on this host.
-    pub fn hosts_instance(&self, instance: InstanceId) -> bool {
-        self.residents.contains(&instance)
-    }
-
-    /// Places an instance on this host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host is full or the instance is already resident —
-    /// both indicate an orchestrator bug.
-    pub fn admit(&mut self, instance: InstanceId) {
-        assert!(self.free_slots() > 0, "host {} is full", self.id);
-        let inserted = self.residents.insert(instance);
-        assert!(inserted, "instance {instance} already on host {}", self.id);
-    }
-
-    /// Removes an instance from this host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instance is not resident.
-    pub fn evict(&mut self, instance: InstanceId) {
-        let removed = self.residents.remove(&instance);
-        assert!(removed, "instance {instance} not on host {}", self.id);
-    }
-
-    /// Reboots the host at `now` for maintenance: the TSC zero point moves,
-    /// the kernel re-runs frequency refinement (new measurement error), and
-    /// every resident instance is displaced.
-    ///
-    /// Returns the displaced instances; the caller must terminate them.
-    pub fn reboot(&mut self, now: SimTime) -> Vec<InstanceId> {
+    /// Reboots the host at `now` for maintenance: the TSC zero point moves
+    /// and the kernel re-runs frequency refinement (new measurement
+    /// error). The instances it ran are the orchestrator's to displace.
+    pub fn reboot(&mut self, now: SimTime) {
         self.tsc = self.tsc.rebooted_at(now);
         let refine_err = Normal::new(0.0, self.refine_error_std_hz).sample(&mut self.refine_rng);
         self.refined = RefinedTscFrequency::refine(self.tsc.actual_frequency(), refine_err);
-        std::mem::take(&mut self.residents).into_iter().collect()
     }
 }
 
@@ -355,8 +302,6 @@ mod tests {
             "actual {}",
             h.actual_frequency()
         );
-        assert_eq!(h.capacity(), 160);
-        assert_eq!(h.free_slots(), 160);
         assert!((h.popularity() - 1.0).abs() < 1e-12);
     }
 
@@ -386,67 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn admit_and_evict_track_residency() {
-        let mut h = test_host(3);
-        let a = InstanceId::from_raw(1);
-        let b = InstanceId::from_raw(2);
-        h.admit(a);
-        h.admit(b);
-        assert_eq!(h.resident_count(), 2);
-        assert!(h.hosts_instance(a));
-        assert_eq!(h.free_slots(), 158);
-        h.evict(a);
-        assert!(!h.hosts_instance(a));
-        assert_eq!(h.residents().collect::<Vec<_>>(), vec![b]);
-    }
-
-    #[test]
-    #[should_panic(expected = "already on host")]
-    fn double_admit_panics() {
-        let mut h = test_host(4);
-        h.admit(InstanceId::from_raw(1));
-        h.admit(InstanceId::from_raw(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "not on host")]
-    fn evict_missing_panics() {
-        let mut h = test_host(5);
-        h.evict(InstanceId::from_raw(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "is full")]
-    fn admit_beyond_capacity_panics() {
-        let mut rng = SimRng::seed_from(6);
-        let config = HostGenConfig {
-            capacity: 1,
-            ..HostGenConfig::default()
-        };
-        let mut h = Host::generate(
-            HostId::from_raw(0),
-            CpuModelId::from_index(0),
-            TscFrequency::from_ghz(2.0),
-            1.0,
-            SimTime::ZERO,
-            &config,
-            &mut rng,
-        );
-        h.admit(InstanceId::from_raw(1));
-        h.admit(InstanceId::from_raw(2));
-    }
-
-    #[test]
-    fn reboot_displaces_and_rerefines() {
+    fn reboot_moves_the_boot_and_rerefines() {
         let mut h = test_host(7);
-        h.admit(InstanceId::from_raw(1));
-        h.admit(InstanceId::from_raw(2));
         let old_boot = h.boot_time();
         let old_freq = h.actual_frequency();
         let reboot_at = SimTime::from_days(3);
-        let displaced = h.reboot(reboot_at);
-        assert_eq!(displaced.len(), 2);
-        assert_eq!(h.resident_count(), 0);
+        h.reboot(reboot_at);
         assert_eq!(h.boot_time(), reboot_at);
         assert_ne!(h.boot_time(), old_boot);
         // Crystal frequency survives the reboot.

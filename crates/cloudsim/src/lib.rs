@@ -7,8 +7,9 @@
 //! * [`cpu`] — the CPU model catalog (`cpuid` strings with labeled base
 //!   frequencies).
 //! * [`host`] — physical hosts: boot times, crystal error ε, refined TSC
-//!   frequency, clock-noise profiles, popularity weights, residency.
-//! * [`datacenter`] — host populations per region.
+//!   frequency, clock-noise profiles, popularity weights.
+//! * [`datacenter`] — host populations per region, generated lazily from
+//!   an immutable, branch-shared genesis.
 //! * [`account`], [`service`], [`instance`] — the FaaS object model,
 //!   including Table 1 container sizes and the instance lifecycle.
 //! * [`sandbox`] — what attacker code can observe inside Gen 1 (gVisor) and

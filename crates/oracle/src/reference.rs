@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use eaao_cloudsim::datacenter::DataCenter;
 use eaao_cloudsim::ids::HostId;
 use eaao_orchestrator::engine::{CapacityIndex, Engine};
+use eaao_orchestrator::occupancy::Occupancy;
 use eaao_simcore::rng::SimRng;
 use eaao_simcore::wsample::{fixed_weight, IndexSampler};
 
@@ -32,7 +33,7 @@ impl Engine for ReferenceEngine {
 
     fn materialize_cell(dc: &DataCenter, hosts: &[HostId]) {
         for &h in hosts {
-            // Touching a host materializes its shard (and SoA lanes).
+            // Touching a host materializes its shard.
             let _ = dc.host(h);
         }
     }
@@ -93,18 +94,21 @@ impl IndexSampler for LinearSampler {
     }
 }
 
-/// Full-scan capacity lookups against the data center itself.
+/// Full-scan capacity lookups against the world's residency ground truth.
 ///
-/// The data center's per-host residency *is* the committed state, so the
-/// residency-change notifications are no-ops and every query walks all
-/// hosts. Planning sessions overlay tentative consumption in a map, and
-/// the popularity-weighted spill pick rebuilds a [`LinearSampler`] over
-/// the overlayed availability on every single pick — the O(hosts) cost
-/// per placed instance the incremental index exists to avoid.
+/// The [`Occupancy`] index *is* the committed state, so the
+/// residency-change notifications only re-check capacity, and every
+/// query walks all hosts. Planning sessions overlay tentative consumption
+/// in a map, and the popularity-weighted spill pick rebuilds a
+/// [`LinearSampler`] over the overlayed availability on every single
+/// pick — the O(hosts) cost per placed instance the incremental index
+/// exists to avoid.
 #[derive(Debug, Clone)]
 pub struct ScanCapacity {
     cell_of_host: Vec<u32>,
     cell_count: usize,
+    /// Uniform per-host slot count.
+    capacity: usize,
     /// Fixed-point popularity per host, same quantization as the
     /// optimized index so spill-pick totals match exactly.
     pop_fixed: Vec<u64>,
@@ -113,9 +117,13 @@ pub struct ScanCapacity {
 }
 
 impl ScanCapacity {
-    fn effective_free(&self, host: usize, dc: &DataCenter) -> usize {
+    fn free(&self, host: usize, occupancy: &Occupancy) -> usize {
+        self.capacity - occupancy.count(HostId::from_raw(host as u32))
+    }
+
+    fn effective_free(&self, host: usize, occupancy: &Occupancy) -> usize {
         let taken = self.taken.get(&host).copied().unwrap_or(0) as usize;
-        dc.host(HostId::from_raw(host as u32)).free_slots() - taken
+        self.free(host, occupancy) - taken
     }
 }
 
@@ -126,27 +134,34 @@ impl CapacityIndex for ScanCapacity {
         ScanCapacity {
             cell_of_host,
             cell_count,
+            capacity: dc.host_capacity(),
             pop_fixed,
             taken: BTreeMap::new(),
         }
     }
 
-    fn on_admit_n(&mut self, _host: HostId, _n: usize, _dc: &DataCenter) {}
-
-    fn on_evict(&mut self, _host: HostId, _dc: &DataCenter) {}
-
-    fn on_host_reboot(&mut self, _host: HostId, _displaced: usize, _dc: &DataCenter) {}
-
-    fn total_free(&self, dc: &DataCenter) -> u64 {
-        dc.hosts().map(|h| h.free_slots() as u64).sum()
+    fn on_admit_n(&mut self, host: HostId, _n: usize, occupancy: &Occupancy) {
+        assert!(
+            occupancy.count(host) <= self.capacity,
+            "host {host} is over capacity"
+        );
     }
 
-    fn cell_free(&self, cell: usize, dc: &DataCenter) -> u64 {
+    fn on_evict(&mut self, _host: HostId, _occupancy: &Occupancy) {}
+
+    fn on_host_reboot(&mut self, _host: HostId, _displaced: usize, _occupancy: &Occupancy) {}
+
+    fn total_free(&self, occupancy: &Occupancy) -> u64 {
+        (0..self.cell_of_host.len())
+            .map(|h| self.free(h, occupancy) as u64)
+            .sum()
+    }
+
+    fn cell_free(&self, cell: usize, occupancy: &Occupancy) -> u64 {
         assert!(cell < self.cell_count, "cell {cell} out of range");
-        dc.hosts()
-            .enumerate()
-            .filter(|&(h, _)| self.cell_of_host[h] as usize == cell)
-            .map(|(_, host)| host.free_slots() as u64)
+        (0..self.cell_of_host.len())
+            .filter(|&h| self.cell_of_host[h] as usize == cell)
+            .map(|h| self.free(h, occupancy) as u64)
             .sum()
     }
 
@@ -158,25 +173,25 @@ impl CapacityIndex for ScanCapacity {
         debug_assert!(self.taken.is_empty(), "previous plan not ended");
     }
 
-    fn plan_free(&self, host: HostId, dc: &DataCenter) -> usize {
-        self.effective_free(host.as_usize(), dc)
+    fn plan_free(&self, host: HostId, occupancy: &Occupancy) -> usize {
+        self.effective_free(host.as_usize(), occupancy)
     }
 
-    fn plan_take(&mut self, host: HostId, dc: &DataCenter) -> bool {
+    fn plan_take(&mut self, host: HostId, occupancy: &Occupancy) -> bool {
         let h = host.as_usize();
-        if self.effective_free(h, dc) == 0 {
+        if self.effective_free(h, occupancy) == 0 {
             return false;
         }
         *self.taken.entry(h).or_insert(0) += 1;
         true
     }
 
-    fn plan_spill_pick(&mut self, dc: &DataCenter, rng: &mut SimRng) -> Option<HostId> {
+    fn plan_spill_pick(&mut self, occupancy: &Occupancy, rng: &mut SimRng) -> Option<HostId> {
         // Rebuild the availability-masked popularity weights from scratch
         // — exactly the weights the optimized index maintains in `avail`.
-        let weights: Vec<u64> = (0..dc.len())
+        let weights: Vec<u64> = (0..self.cell_of_host.len())
             .map(|h| {
-                if self.effective_free(h, dc) > 0 {
+                if self.effective_free(h, occupancy) > 0 {
                     self.pop_fixed[h]
                 } else {
                     0
@@ -200,7 +215,6 @@ mod tests {
     use eaao_cloudsim::host::HostGenConfig;
     use eaao_cloudsim::ids::InstanceId;
     use eaao_orchestrator::engine::IncrementalCapacity;
-    use eaao_simcore::time::SimTime;
     use eaao_simcore::wsample::FenwickSampler;
 
     fn small_dc(seed: u64, hosts: usize, capacity: usize) -> DataCenter {
@@ -233,33 +247,36 @@ mod tests {
 
     #[test]
     fn scan_capacity_mirrors_incremental_through_residency_changes() {
-        let mut dc = small_dc(5, 16, 3);
+        let dc = small_dc(5, 16, 3);
+        let mut occ = Occupancy::new(dc.len());
         let cells: Vec<u32> = (0..16).map(|h| (h % 4) as u32).collect();
         let mut fast = IncrementalCapacity::new(&dc, cells.clone(), 4);
-        let slow = ScanCapacity::new(&dc, cells, 4);
+        let mut slow = ScanCapacity::new(&dc, cells, 4);
 
         let h = HostId::from_raw(2);
         for i in 0..3 {
-            dc.host_mut(h).admit(InstanceId::from_raw(i));
+            occ.admit(h, InstanceId::from_raw(i));
         }
-        fast.on_admit_n(h, 3, &dc);
-        assert_eq!(fast.total_free(&dc), slow.total_free(&dc));
+        fast.on_admit_n(h, 3, &occ);
+        slow.on_admit_n(h, 3, &occ);
+        assert_eq!(fast.total_free(&occ), slow.total_free(&occ));
 
-        dc.host_mut(h).evict(InstanceId::from_raw(1));
-        fast.on_evict(h, &dc);
-        assert_eq!(fast.total_free(&dc), slow.total_free(&dc));
+        occ.evict(h, InstanceId::from_raw(1));
+        fast.on_evict(h, &occ);
+        assert_eq!(fast.total_free(&occ), slow.total_free(&occ));
 
-        let displaced = dc.reboot_host(h, SimTime::from_secs(9));
-        fast.on_host_reboot(h, displaced.len(), &dc);
-        assert_eq!(fast.total_free(&dc), slow.total_free(&dc));
+        let displaced = occ.displace(h);
+        fast.on_host_reboot(h, displaced.len(), &occ);
+        assert_eq!(fast.total_free(&occ), slow.total_free(&occ));
         for cell in 0..4 {
-            assert_eq!(fast.cell_free(cell, &dc), slow.cell_free(cell, &dc));
+            assert_eq!(fast.cell_free(cell, &occ), slow.cell_free(cell, &occ));
         }
     }
 
     #[test]
     fn spill_picks_agree_with_the_optimized_overlay() {
         let dc = small_dc(11, 10, 2);
+        let occ = Occupancy::new(dc.len());
         let cells: Vec<u32> = (0..10).map(|h| (h % 2) as u32).collect();
         let mut fast = IncrementalCapacity::new(&dc, cells.clone(), 2);
         let mut slow = ScanCapacity::new(&dc, cells, 2);
@@ -269,13 +286,13 @@ mod tests {
         slow.begin_plan();
         // Drain the whole pool through the overlay: 20 picks, then None.
         for round in 0..20 {
-            let a = fast.plan_spill_pick(&dc, &mut rng_a);
-            let b = slow.plan_spill_pick(&dc, &mut rng_b);
+            let a = fast.plan_spill_pick(&occ, &mut rng_a);
+            let b = slow.plan_spill_pick(&occ, &mut rng_b);
             assert_eq!(a, b, "round {round}");
             assert!(a.is_some(), "round {round}");
         }
-        assert_eq!(fast.plan_spill_pick(&dc, &mut rng_a), None);
-        assert_eq!(slow.plan_spill_pick(&dc, &mut rng_b), None);
+        assert_eq!(fast.plan_spill_pick(&occ, &mut rng_a), None);
+        assert_eq!(slow.plan_spill_pick(&occ, &mut rng_b), None);
         fast.end_plan();
         slow.end_plan();
         // Both consumed identical RNG: the streams still agree.

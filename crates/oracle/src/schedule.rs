@@ -218,7 +218,7 @@ impl<E: Engine> Session<E> {
             outcome,
             placements,
             alive,
-            resident: self.world.data_center().resident_instances(),
+            resident: self.world.occupancy().len(),
             free_slots: self.world.free_slots(),
             billed_bits: self.world.billed().as_usd().to_bits(),
         };

@@ -258,7 +258,14 @@ fn branching_after_partial_materialization_stays_lazy_and_correct() {
         branch.world().data_center().materialized_hosts() > before,
         "cold burst materialized nothing"
     );
-    // The branch's first-touch materialization is invisible to the parent.
+    // The branch generated the cold shards into the genesis both sides
+    // share, but they count in the branch's history only, and the parent
+    // replays exactly as if they had never been touched.
+    assert_eq!(
+        parent.world().data_center().materialized_hosts(),
+        before,
+        "the branch's first touches leaked into the parent's history"
+    );
     assert_eq!(finish(&mut parent, &s.ops, 3), full[3..].to_vec());
 }
 

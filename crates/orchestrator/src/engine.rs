@@ -31,6 +31,8 @@ use eaao_cloudsim::ids::HostId;
 use eaao_simcore::rng::SimRng;
 use eaao_simcore::wsample::{FenwickSampler, IndexSampler};
 
+use crate::occupancy::Occupancy;
+
 /// A placement/launch backend: the sampler and capacity index types the
 /// generic `World`/`CloudRunPolicy` machinery instantiates.
 ///
@@ -95,9 +97,13 @@ impl Engine for OptimizedEngine {
 /// `World` notifies the index on every residency change
 /// ([`on_admit_n`](CapacityIndex::on_admit_n),
 /// [`on_evict`](CapacityIndex::on_evict),
-/// [`on_host_reboot`](CapacityIndex::on_host_reboot)); the placement
-/// policy consumes it through a *planning session*: [`begin_plan`]
-/// overlays tentative slot consumption on top of the committed state,
+/// [`on_host_reboot`](CapacityIndex::on_host_reboot)) after recording it
+/// in its [`Occupancy`], which every method receives as the residency
+/// ground truth: the incremental index reads per-host counts from it and
+/// keeps only aggregates, the reference engine's full scans read nothing
+/// else. The placement policy consumes
+/// the index through a *planning session*: [`begin_plan`] overlays
+/// tentative slot consumption on top of the committed state,
 /// [`plan_take`]/[`plan_spill_pick`] allocate against the overlay, and
 /// [`end_plan`] discards it (the real admissions follow through
 /// `on_admit_n` once the plan is committed).
@@ -114,31 +120,31 @@ pub trait CapacityIndex: fmt::Debug {
     /// Builds the index for `dc`. `cell_of_host[h]` is the scheduling cell
     /// of host `h`; `cell_count` the number of cells.
     ///
-    /// The pool is untouched at build time (every host empty), so an
-    /// implementation may derive initial free counts from genesis
-    /// parameters without materializing hosts.
+    /// The pool is empty at build time, so an implementation may derive
+    /// initial free counts from genesis parameters without materializing
+    /// hosts.
     fn new(dc: &DataCenter, cell_of_host: Vec<u32>, cell_count: usize) -> Self
     where
         Self: Sized;
 
     /// `n` instances were admitted to `host`.
-    fn on_admit_n(&mut self, host: HostId, n: usize, dc: &DataCenter);
+    fn on_admit_n(&mut self, host: HostId, n: usize, occupancy: &Occupancy);
 
     /// One instance was evicted from `host`.
-    fn on_evict(&mut self, host: HostId, dc: &DataCenter);
+    fn on_evict(&mut self, host: HostId, occupancy: &Occupancy);
 
     /// `host` rebooted, displacing `displaced` instances (it is now empty).
-    fn on_host_reboot(&mut self, host: HostId, displaced: usize, dc: &DataCenter);
+    fn on_host_reboot(&mut self, host: HostId, displaced: usize, occupancy: &Occupancy);
 
     /// Total free slots across the data center.
-    fn total_free(&self, dc: &DataCenter) -> u64;
+    fn total_free(&self, occupancy: &Occupancy) -> u64;
 
     /// Free slots in one scheduling cell.
     ///
     /// # Panics
     ///
     /// May panic if `cell >= cell_count()`.
-    fn cell_free(&self, cell: usize, dc: &DataCenter) -> u64;
+    fn cell_free(&self, cell: usize, occupancy: &Occupancy) -> u64;
 
     /// Number of scheduling cells.
     fn cell_count(&self) -> usize;
@@ -147,16 +153,16 @@ pub trait CapacityIndex: fmt::Debug {
     fn begin_plan(&mut self);
 
     /// Free slots of `host` net of overlay consumption.
-    fn plan_free(&self, host: HostId, dc: &DataCenter) -> usize;
+    fn plan_free(&self, host: HostId, occupancy: &Occupancy) -> usize;
 
     /// Consumes one slot of `host` in the overlay; `false` if none left.
-    fn plan_take(&mut self, host: HostId, dc: &DataCenter) -> bool;
+    fn plan_take(&mut self, host: HostId, occupancy: &Occupancy) -> bool;
 
     /// Popularity-weighted pick over hosts with overlay-free slots,
     /// consuming one slot of the picked host. Exactly one
     /// `rng.below(total)` draw on success; `None` (no draw) when the
     /// data center is full in the overlayed view.
-    fn plan_spill_pick(&mut self, dc: &DataCenter, rng: &mut SimRng) -> Option<HostId>;
+    fn plan_spill_pick(&mut self, occupancy: &Occupancy, rng: &mut SimRng) -> Option<HostId>;
 
     /// Ends the planning session, discarding the overlay.
     fn end_plan(&mut self);
@@ -164,16 +170,17 @@ pub trait CapacityIndex: fmt::Debug {
 
 /// The optimized capacity index.
 ///
-/// Committed state (free slots per host/cell/total and a
-/// popularity-masked-by-availability Fenwick sampler) is updated in O(1)
-/// / O(log n) on each residency change. Planning sessions overlay
-/// tentative consumption with a small per-plan ledger touching only the
-/// hosts the plan uses, so a launch never scans the pool.
+/// Committed aggregates (free slots per cell and in total, and a
+/// popularity-masked-by-availability Fenwick sampler) are updated in
+/// O(log n) on each residency change; per-host counts come from the
+/// world's [`Occupancy`], so the index holds no per-host lane of its own
+/// that a branch would have to copy. Planning sessions overlay tentative
+/// consumption with a small per-plan ledger touching only the hosts the
+/// plan uses, so a launch never scans the pool.
 #[derive(Debug)]
 pub struct IncrementalCapacity {
-    /// Committed free slots per host. Copy-on-write: branches share the
-    /// lane until the first residency change after a clone.
-    free: Arc<Vec<u32>>,
+    /// Instance slots per host (uniform across the pool).
+    capacity: u32,
     /// Committed free slots, summed.
     total_free: u64,
     /// Committed free slots per scheduling cell.
@@ -198,15 +205,13 @@ pub struct IncrementalCapacity {
 
 impl Clone for IncrementalCapacity {
     // Written by hand so the share-vs-detach decision per field is
-    // explicit (the fork-coverage contract): the three Arc lanes are
-    // shared — `free` is copy-on-write (the first residency change after
-    // a clone unshares it), `cell_of_host` and `pop_fixed` are immutable
-    // after build — the sampler's own manual Clone spells out its lanes,
-    // and the per-plan overlay is copied by value (it is empty between
-    // planning sessions).
+    // explicit (the fork-coverage contract): the two Arc lanes are
+    // immutable after build and shared, the sampler's own manual Clone
+    // spells out its copy-on-write lanes, and the aggregates and the
+    // per-plan overlay (empty between planning sessions) are copied.
     fn clone(&self) -> Self {
         IncrementalCapacity {
-            free: Arc::clone(&self.free),
+            capacity: self.capacity,
             total_free: self.total_free,
             cell_free: self.cell_free.clone(),
             cell_of_host: Arc::clone(&self.cell_of_host),
@@ -219,19 +224,22 @@ impl Clone for IncrementalCapacity {
 }
 
 impl IncrementalCapacity {
-    fn effective_free(&self, host: usize) -> u32 {
-        let taken = self.plan_taken.get(&host).copied().unwrap_or(0);
-        self.free[host] - taken
+    /// Committed free slots of `host`.
+    fn free(&self, host: HostId, occupancy: &Occupancy) -> u32 {
+        self.capacity - occupancy.count(host) as u32
     }
 
-    fn take_at(&mut self, host: usize) -> bool {
-        if self.effective_free(host) == 0 {
+    fn take(&mut self, host: HostId, occupancy: &Occupancy) -> bool {
+        let h = host.as_usize();
+        let committed = self.free(host, occupancy);
+        let taken = self.plan_taken.entry(h).or_insert(0);
+        if *taken == committed {
             return false;
         }
-        *self.plan_taken.entry(host).or_insert(0) += 1;
-        if self.effective_free(host) == 0 && self.avail.weight(host) > 0 {
-            self.avail.set_weight(host, 0);
-            self.plan_suppressed.push(host);
+        *taken += 1;
+        if *taken == committed && self.avail.weight(h) > 0 {
+            self.avail.set_weight(h, 0);
+            self.plan_suppressed.push(h);
         }
         true
     }
@@ -240,12 +248,10 @@ impl IncrementalCapacity {
 impl CapacityIndex for IncrementalCapacity {
     fn new(dc: &DataCenter, cell_of_host: Vec<u32>, cell_count: usize) -> Self {
         assert_eq!(cell_of_host.len(), dc.len(), "cell map covers every host");
-        // Built over an untouched pool: every host starts empty, so free
-        // slots are the uniform genesis capacity and the whole index comes
-        // from genesis lanes — no host is materialized here.
-        debug_assert_eq!(dc.resident_instances(), 0, "index built over a fresh pool");
+        // Built over an empty pool: free slots are the uniform genesis
+        // capacity and the whole index comes from genesis lanes — no host
+        // is materialized here.
         let capacity = dc.host_capacity() as u32;
-        let free = Arc::new(vec![capacity; dc.len()]);
         let pop_fixed = dc.popularity_weights();
         let total_free = dc.len() as u64 * u64::from(capacity);
         let mut cell_free = vec![0u64; cell_count];
@@ -261,7 +267,7 @@ impl CapacityIndex for IncrementalCapacity {
             FenwickSampler::from_weights(vec![0; dc.len()])
         };
         IncrementalCapacity {
-            free,
+            capacity,
             total_free,
             cell_free,
             cell_of_host: Arc::new(cell_of_host),
@@ -273,51 +279,47 @@ impl CapacityIndex for IncrementalCapacity {
         }
     }
 
-    fn on_admit_n(&mut self, host: HostId, n: usize, _dc: &DataCenter) {
-        let h = host.as_usize();
-        let n32 = n as u32;
+    // tidy:allow(panic-reachability) -- `h` and its cell come from a HostId of the same fleet these lanes were sized to at construction.
+    fn on_admit_n(&mut self, host: HostId, n: usize, occupancy: &Occupancy) {
         assert!(
-            self.free[h] >= n32,
+            occupancy.count(host) <= self.capacity as usize,
             "admitting past capacity on host {host}"
         );
-        Arc::make_mut(&mut self.free)[h] -= n32;
+        let h = host.as_usize();
         self.total_free -= n as u64;
         self.cell_free[self.cell_of_host[h] as usize] -= n as u64;
-        if self.free[h] == 0 {
+        if self.free(host, occupancy) == 0 {
             self.avail.set_weight(h, 0);
         }
     }
 
     // tidy:allow(panic-reachability) -- `h` and its cell come from a HostId previously admitted into these lanes, which were sized to the fleet at construction.
-    fn on_evict(&mut self, host: HostId, _dc: &DataCenter) {
+    fn on_evict(&mut self, host: HostId, occupancy: &Occupancy) {
         let h = host.as_usize();
-        Arc::make_mut(&mut self.free)[h] += 1;
         self.total_free += 1;
         self.cell_free[self.cell_of_host[h] as usize] += 1;
-        if self.free[h] == 1 {
+        if self.free(host, occupancy) == 1 {
             self.avail.set_weight(h, self.pop_fixed[h]);
         }
     }
 
     // tidy:allow(panic-reachability) -- `h` and its cell come from a HostId of the same fleet these lanes were sized to at construction.
-    fn on_host_reboot(&mut self, host: HostId, displaced: usize, dc: &DataCenter) {
+    fn on_host_reboot(&mut self, host: HostId, displaced: usize, occupancy: &Occupancy) {
         let h = host.as_usize();
-        debug_assert_eq!(dc.host(host).resident_count(), 0, "reboot empties the host");
-        let was_free = self.free[h];
-        Arc::make_mut(&mut self.free)[h] = dc.host(host).capacity() as u32;
-        debug_assert_eq!(u64::from(self.free[h] - was_free), displaced as u64);
+        debug_assert_eq!(occupancy.count(host), 0, "reboot empties the host");
         self.total_free += displaced as u64;
         self.cell_free[self.cell_of_host[h] as usize] += displaced as u64;
-        if was_free == 0 && self.free[h] > 0 {
+        if self.capacity > 0 && displaced == self.capacity as usize {
+            // It was full, so it had dropped out of the sampler.
             self.avail.set_weight(h, self.pop_fixed[h]);
         }
     }
 
-    fn total_free(&self, _dc: &DataCenter) -> u64 {
+    fn total_free(&self, _occupancy: &Occupancy) -> u64 {
         self.total_free
     }
 
-    fn cell_free(&self, cell: usize, _dc: &DataCenter) -> u64 {
+    fn cell_free(&self, cell: usize, _occupancy: &Occupancy) -> u64 {
         self.cell_free[cell]
     }
 
@@ -329,29 +331,29 @@ impl CapacityIndex for IncrementalCapacity {
         debug_assert!(self.plan_taken.is_empty() && self.plan_suppressed.is_empty());
     }
 
-    fn plan_free(&self, host: HostId, _dc: &DataCenter) -> usize {
-        self.effective_free(host.as_usize()) as usize
+    fn plan_free(&self, host: HostId, occupancy: &Occupancy) -> usize {
+        let taken = self.plan_taken.get(&host.as_usize()).copied().unwrap_or(0);
+        (self.free(host, occupancy) - taken) as usize
     }
 
-    fn plan_take(&mut self, host: HostId, _dc: &DataCenter) -> bool {
-        self.take_at(host.as_usize())
+    fn plan_take(&mut self, host: HostId, occupancy: &Occupancy) -> bool {
+        self.take(host, occupancy)
     }
 
-    fn plan_spill_pick(&mut self, _dc: &DataCenter, rng: &mut SimRng) -> Option<HostId> {
-        let h = self.avail.pick(rng)?;
-        let took = self.take_at(h);
+    fn plan_spill_pick(&mut self, occupancy: &Occupancy, rng: &mut SimRng) -> Option<HostId> {
+        let host = HostId::from_raw(self.avail.pick(rng)? as u32);
+        let took = self.take(host, occupancy);
         debug_assert!(took, "sampled host must have an overlay-free slot");
-        Some(HostId::from_raw(h as u32))
+        Some(host)
     }
 
     // tidy:allow(panic-reachability) -- `plan_suppressed` holds indices previously admitted into these fleet-sized lanes by plan_take/plan_spill_pick.
     fn end_plan(&mut self) {
         for h in std::mem::take(&mut self.plan_suppressed) {
-            // Suppressed by the overlay only: the committed view still has
-            // free slots here, so the weight comes back.
-            if self.free[h] > 0 {
-                self.avail.set_weight(h, self.pop_fixed[h]);
-            }
+            // Suppressed by the overlay only: the overlay took the last of
+            // the committed free slots, so in the committed view the host
+            // still has some and its weight comes back.
+            self.avail.set_weight(h, self.pop_fixed[h]);
         }
         self.plan_taken.clear();
     }
@@ -376,77 +378,81 @@ mod tests {
         IncrementalCapacity::new(dc, map, cells)
     }
 
-    /// Committed free counts must always equal a full scan of the DC.
-    fn assert_mirrors(cap: &IncrementalCapacity, dc: &DataCenter) {
-        let scan: u64 = dc.hosts().map(|h| h.free_slots() as u64).sum();
-        assert_eq!(cap.total_free(dc), scan);
-        let cells: u64 = (0..cap.cell_count()).map(|c| cap.cell_free(c, dc)).sum();
+    /// Committed free counts must always equal a full scan of the
+    /// occupancy ground truth.
+    fn assert_mirrors(cap: &IncrementalCapacity, dc: &DataCenter, occ: &Occupancy) {
+        let free = |h: HostId| (dc.host_capacity() - occ.count(h)) as u64;
+        let scan: u64 = dc.host_ids().map(free).sum();
+        assert_eq!(cap.total_free(occ), scan);
+        let cells: u64 = (0..cap.cell_count()).map(|c| cap.cell_free(c, occ)).sum();
         assert_eq!(cells, scan);
-        for (h, host) in dc.hosts().enumerate() {
-            assert_eq!(cap.free[h] as usize, host.free_slots(), "host {h}");
+        for h in dc.host_ids() {
+            assert_eq!(u64::from(cap.free(h, occ)), free(h), "host {h}");
         }
     }
 
     #[test]
     fn tracks_admit_evict_reboot() {
         use eaao_cloudsim::ids::InstanceId;
-        use eaao_simcore::time::SimTime;
-        let mut dc = small_dc(1, 12, 4);
+        let dc = small_dc(1, 12, 4);
+        let mut occ = Occupancy::new(dc.len());
         let mut cap = index_for(&dc, 3);
-        assert_mirrors(&cap, &dc);
+        assert_mirrors(&cap, &dc, &occ);
 
         let h = HostId::from_raw(5);
         for i in 0..4 {
-            dc.host_mut(h).admit(InstanceId::from_raw(i));
+            occ.admit(h, InstanceId::from_raw(i));
         }
-        cap.on_admit_n(h, 4, &dc);
-        assert_mirrors(&cap, &dc);
+        cap.on_admit_n(h, 4, &occ);
+        assert_mirrors(&cap, &dc, &occ);
         assert_eq!(cap.avail.weight(5), 0, "full host drops out of sampling");
 
-        dc.host_mut(h).evict(InstanceId::from_raw(0));
-        cap.on_evict(h, &dc);
-        assert_mirrors(&cap, &dc);
+        occ.evict(h, InstanceId::from_raw(0));
+        cap.on_evict(h, &occ);
+        assert_mirrors(&cap, &dc, &occ);
         assert!(cap.avail.weight(5) > 0, "freed host is sampleable again");
 
-        let displaced = dc.reboot_host(h, SimTime::from_secs(10));
-        cap.on_host_reboot(h, displaced.len(), &dc);
-        assert_mirrors(&cap, &dc);
+        let displaced = occ.displace(h);
+        cap.on_host_reboot(h, displaced.len(), &occ);
+        assert_mirrors(&cap, &dc, &occ);
     }
 
     #[test]
     fn plan_overlay_is_discarded_by_end_plan() {
         let dc = small_dc(2, 6, 2);
+        let occ = Occupancy::new(dc.len());
         let mut cap = index_for(&dc, 2);
         let h = HostId::from_raw(0);
         cap.begin_plan();
-        assert_eq!(cap.plan_free(h, &dc), 2);
-        assert!(cap.plan_take(h, &dc));
-        assert!(cap.plan_take(h, &dc));
-        assert!(!cap.plan_take(h, &dc), "overlay exhausted");
-        assert_eq!(cap.plan_free(h, &dc), 0);
+        assert_eq!(cap.plan_free(h, &occ), 2);
+        assert!(cap.plan_take(h, &occ));
+        assert!(cap.plan_take(h, &occ));
+        assert!(!cap.plan_take(h, &occ), "overlay exhausted");
+        assert_eq!(cap.plan_free(h, &occ), 0);
         assert_eq!(cap.avail.weight(0), 0, "exhausted in overlay");
         cap.end_plan();
         // Committed state untouched.
-        assert_eq!(cap.plan_free(h, &dc), 2);
+        assert_eq!(cap.plan_free(h, &occ), 2);
         assert!(cap.avail.weight(0) > 0);
-        assert_mirrors(&cap, &dc);
+        assert_mirrors(&cap, &dc, &occ);
     }
 
     #[test]
     fn spill_pick_respects_overlay_capacity() {
         let dc = small_dc(3, 4, 2);
+        let occ = Occupancy::new(dc.len());
         let mut cap = index_for(&dc, 1);
         let mut rng = SimRng::seed_from(4);
         cap.begin_plan();
         // 4 hosts × 2 slots: exactly 8 picks succeed, then None.
         let mut per_host = HashMap::new();
         for _ in 0..8 {
-            let h = cap.plan_spill_pick(&dc, &mut rng).expect("slots left");
+            let h = cap.plan_spill_pick(&occ, &mut rng).expect("slots left");
             *per_host.entry(h).or_insert(0u32) += 1;
         }
-        assert!(cap.plan_spill_pick(&dc, &mut rng).is_none());
+        assert!(cap.plan_spill_pick(&occ, &mut rng).is_none());
         assert!(per_host.values().all(|&c| c <= 2), "capacity respected");
         cap.end_plan();
-        assert_eq!(cap.total_free(&dc), 8, "overlay never committed");
+        assert_eq!(cap.total_free(&occ), 8, "overlay never committed");
     }
 }

@@ -10,6 +10,8 @@
 //! * [`demand`] — the ~30-minute per-service demand window (Observation 5).
 //! * [`engine`] — pluggable sampling/capacity backends; the optimized
 //!   engine keeps an incremental free-capacity index and Fenwick samplers.
+//! * [`occupancy`] — host residency (which live instance runs where), the
+//!   ground truth the capacity index mirrors.
 //! * [`placement`] — base hosts per account (scheduling cells), helper-host
 //!   exploration under load, near-uniform spreading, dynamic placement.
 //! * [`platform`] — the pluggable [`PlatformPolicy`] axis: the CloudRun
@@ -42,6 +44,7 @@ pub mod config;
 pub mod demand;
 pub mod engine;
 pub mod error;
+pub mod occupancy;
 pub mod placement;
 pub mod platform;
 pub mod world;
@@ -49,6 +52,7 @@ pub mod world;
 pub use config::{PlacementConfig, RegionConfig};
 pub use engine::{CapacityIndex, Engine, OptimizedEngine};
 pub use error::{GuestError, LaunchError};
+pub use occupancy::Occupancy;
 pub use platform::{
     AnyPlatformPolicy, AzureLikePolicy, KeepAlive, LambdaLikePolicy, PlatformKind, PlatformPolicy,
 };
@@ -61,6 +65,7 @@ pub mod prelude {
     pub use crate::demand::DemandWindow;
     pub use crate::engine::{CapacityIndex, Engine, OptimizedEngine};
     pub use crate::error::{GuestError, LaunchError};
+    pub use crate::occupancy::Occupancy;
     pub use crate::placement::CloudRunPolicy;
     pub use crate::platform::{
         AnyPlatformPolicy, AzureLikePolicy, KeepAlive, LambdaLikePolicy, PlatformKind,

@@ -38,10 +38,11 @@ use std::sync::Arc;
 use eaao_cloudsim::datacenter::DataCenter;
 use eaao_cloudsim::ids::{AccountId, HostId, ServiceId};
 use eaao_simcore::rng::SimRng;
-use eaao_simcore::wsample::{sample_distinct, IndexSampler};
+use eaao_simcore::wsample::{sample_distinct, sample_distinct_excluding, IndexSampler};
 
 use crate::config::PlacementConfig;
 use crate::engine::{CapacityIndex, Engine, OptimizedEngine};
+use crate::occupancy::Occupancy;
 
 /// A placement decision: one target host per new instance.
 pub type PlacementPlan = Vec<HostId>;
@@ -70,11 +71,12 @@ pub struct CloudRunPolicy<E: Engine = OptimizedEngine> {
     /// Fixed-point popularity weight per host (constant after build; the
     /// data center's shared genesis lane, so branches alias it).
     pop_fixed: Arc<Vec<u64>>,
-    /// Popularity sampler over the whole pool; weights are suppressed and
-    /// restored around exclusion-aware draws.
+    /// Popularity sampler over the whole pool. Never written: exclusion-aware
+    /// draws subtract excluded weights on the fly, so every branch keeps
+    /// sharing the data center's genesis lanes.
     pop_sampler: E::Sampler,
     /// Lazily built uniform sampler for the co-location-resistant
-    /// mitigation (weights never change, so it is reusable).
+    /// mitigation (never written either, so it is reusable).
     uniform: Option<E::Sampler>,
 }
 
@@ -195,14 +197,15 @@ impl<E: Engine> CloudRunPolicy<E> {
 
     /// Plans the placement of `need_new` new instances for `service` owned
     /// by `account`, allocating against `capacity`'s planning overlay
-    /// (tentative only — committing the plan is the caller's job).
+    /// (tentative only — committing the plan is the caller's job);
+    /// `occupancy` is the residency ground truth the index is queried with.
     ///
     /// `pressure` is the service's demand pressure (qualifying launches in
     /// the window, *excluding* the current one); `pressure > 0` marks the
     /// service hot and engages the load balancer.
     pub fn plan(
         &mut self,
-        dc: &DataCenter,
+        occupancy: &Occupancy,
         capacity: &mut E::Capacity,
         service: ServiceId,
         account: AccountId,
@@ -215,14 +218,14 @@ impl<E: Engine> CloudRunPolicy<E> {
         eaao_obs::count("placement.plans", 1);
         eaao_obs::observe("placement.plan_size", need_new as u64);
         capacity.begin_plan();
-        let plan = self.plan_inner(dc, capacity, service, account, need_new, pressure);
+        let plan = self.plan_inner(occupancy, capacity, service, account, need_new, pressure);
         capacity.end_plan();
         plan
     }
 
     fn plan_inner(
         &mut self,
-        dc: &DataCenter,
+        occupancy: &Occupancy,
         capacity: &mut E::Capacity,
         service: ServiceId,
         account: AccountId,
@@ -233,21 +236,18 @@ impl<E: Engine> CloudRunPolicy<E> {
             // Section 6 scheduler mitigation: a fresh uniformly random
             // host subset per launch — no per-account affinity for an
             // attacker to learn, no demand-driven spreading to exploit.
+            let pool = self.by_rank.len();
             let want =
-                ((need_new as f64 / self.config.target_density).ceil() as usize).clamp(1, dc.len());
-            let pool = dc.len();
+                ((need_new as f64 / self.config.target_density).ceil() as usize).clamp(1, pool);
             let uniform = self
                 .uniform
                 .get_or_insert_with(|| E::Sampler::from_weights(vec![1; pool]));
-            let picks = sample_distinct(uniform, want, &mut self.rng);
-            for &i in &picks {
-                uniform.set_weight(i, 1);
-            }
+            let picks = sample_distinct_excluding(&*uniform, want, &[], &mut self.rng);
             let targets: Vec<HostId> = picks
                 .into_iter()
                 .map(|i| HostId::from_raw(i as u32))
                 .collect();
-            return self.spread(dc, capacity, &targets, need_new);
+            return self.spread(occupancy, capacity, &targets, need_new);
         }
         let base: Vec<HostId> = self.base_hosts(account).to_vec();
 
@@ -303,7 +303,7 @@ impl<E: Engine> CloudRunPolicy<E> {
             t
         };
 
-        self.spread(dc, capacity, &targets, need_new)
+        self.spread(occupancy, capacity, &targets, need_new)
     }
 
     /// A popularity-weighted subset of `candidates` of size `want`.
@@ -326,7 +326,7 @@ impl<E: Engine> CloudRunPolicy<E> {
     // tidy:allow(panic-reachability) -- the loop guard `exhausted < order.len()` keeps the body unreachable when `order` is empty, and `cursor % order.len()` is below the length by construction.
     fn spread(
         &mut self,
-        dc: &DataCenter,
+        occupancy: &Occupancy,
         capacity: &mut E::Capacity,
         targets: &[HostId],
         count: usize,
@@ -339,7 +339,7 @@ impl<E: Engine> CloudRunPolicy<E> {
         while plan.len() < count && exhausted < order.len() {
             let host = order[cursor % order.len()];
             cursor += 1;
-            if capacity.plan_take(host, dc) {
+            if capacity.plan_take(host, occupancy) {
                 exhausted = 0;
                 plan.push(host);
             } else {
@@ -349,7 +349,7 @@ impl<E: Engine> CloudRunPolicy<E> {
         // Spill: targets are full; fall back to the rest of the pool,
         // weighted by popularity among hosts with overlay-free slots.
         while plan.len() < count {
-            match capacity.plan_spill_pick(dc, &mut self.rng) {
+            match capacity.plan_spill_pick(occupancy, &mut self.rng) {
                 Some(host) => plan.push(host),
                 None => break, // the entire data center is full
             }
@@ -358,20 +358,9 @@ impl<E: Engine> CloudRunPolicy<E> {
     }
 
     /// Popularity-weighted sample of `count` hosts, excluding `exclude`.
-    // tidy:allow(panic-reachability) -- `pop_fixed` and the sampler are sized to the fleet at construction, and every indexed id is a HostId of that same fleet.
     fn sample_hosts(&mut self, count: usize, exclude: &[HostId]) -> Vec<HostId> {
-        for &h in exclude {
-            self.pop_sampler.set_weight(h.as_usize(), 0);
-        }
-        let picks = sample_distinct(&mut self.pop_sampler, count, &mut self.rng);
-        for &h in exclude {
-            let i = h.as_usize();
-            self.pop_sampler.set_weight(i, self.pop_fixed[i]);
-        }
-        for &i in &picks {
-            self.pop_sampler.set_weight(i, self.pop_fixed[i]);
-        }
-        picks
+        let exclude: Vec<usize> = exclude.iter().map(|h| h.as_usize()).collect();
+        sample_distinct_excluding(&self.pop_sampler, count, &exclude, &mut self.rng)
             .into_iter()
             .map(|i| HostId::from_raw(i as u32))
             .collect()
@@ -516,10 +505,11 @@ mod tests {
     #[test]
     fn cold_launch_spreads_at_target_density() {
         let dc = dc(9, 520);
+        let occ = Occupancy::new(dc.len());
         let mut p = policy(&dc, 10);
         let mut cap = capacity_for(&dc, &p);
         let plan = p.plan(
-            &dc,
+            &occ,
             &mut cap,
             ServiceId::from_raw(1),
             AccountId::from_raw(1),
@@ -549,6 +539,7 @@ mod tests {
     #[test]
     fn cold_launches_reuse_base_hosts() {
         let dc = dc(11, 520);
+        let occ = Occupancy::new(dc.len());
         let mut p = policy(&dc, 12);
         let mut cap = capacity_for(&dc, &p);
         let svc = ServiceId::from_raw(1);
@@ -556,7 +547,7 @@ mod tests {
         let mut cumulative = std::collections::HashSet::new();
         let mut per_launch = Vec::new();
         for _ in 0..6 {
-            let plan = p.plan(&dc, &mut cap, svc, acct, 800, 0);
+            let plan = p.plan(&occ, &mut cap, svc, acct, 800, 0);
             let hosts: std::collections::HashSet<HostId> = plan.into_iter().collect();
             per_launch.push(hosts.len());
             cumulative.extend(hosts);
@@ -573,6 +564,7 @@ mod tests {
     #[test]
     fn hot_launches_acquire_helpers_saturating() {
         let dc = dc(13, 520);
+        let occ = Occupancy::new(dc.len());
         let mut p = policy(&dc, 14);
         let mut cap = capacity_for(&dc, &p);
         let svc = ServiceId::from_raw(1);
@@ -580,7 +572,7 @@ mod tests {
         let mut increments = Vec::new();
         let mut prev = 0;
         for pressure in 1..=5 {
-            let _ = p.plan(&dc, &mut cap, svc, acct, 800, pressure);
+            let _ = p.plan(&occ, &mut cap, svc, acct, 800, pressure);
             let now = p.helper_hosts(svc).len();
             increments.push(now - prev);
             prev = now;
@@ -599,21 +591,23 @@ mod tests {
         // If only a few instances need creation, exploration is bounded by
         // that need (the paper's 2-minute-interval result).
         let dc = dc(15, 520);
+        let occ = Occupancy::new(dc.len());
         let mut p = policy(&dc, 16);
         let mut cap = capacity_for(&dc, &p);
         let svc = ServiceId::from_raw(1);
-        let _ = p.plan(&dc, &mut cap, svc, AccountId::from_raw(1), 12, 2);
+        let _ = p.plan(&occ, &mut cap, svc, AccountId::from_raw(1), 12, 2);
         assert!(p.helper_hosts(svc).len() <= 12);
     }
 
     #[test]
     fn helpers_exclude_own_base() {
         let dc = dc(17, 520);
+        let occ = Occupancy::new(dc.len());
         let mut p = policy(&dc, 18);
         let mut cap = capacity_for(&dc, &p);
         let svc = ServiceId::from_raw(1);
         let acct = AccountId::from_raw(1);
-        let _ = p.plan(&dc, &mut cap, svc, acct, 800, 3);
+        let _ = p.plan(&occ, &mut cap, svc, acct, 800, 3);
         let base: std::collections::HashSet<HostId> = p.base_hosts(acct).iter().copied().collect();
         assert!(p.helper_hosts(svc).iter().all(|h| !base.contains(h)));
     }
@@ -621,12 +615,13 @@ mod tests {
     #[test]
     fn different_services_get_overlapping_but_distinct_helpers() {
         let dc = dc(19, 520);
+        let occ = Occupancy::new(dc.len());
         let mut p = policy(&dc, 20);
         let mut cap = capacity_for(&dc, &p);
         let acct = AccountId::from_raw(1);
         for s in [1u32, 2] {
             for pressure in 1..=5 {
-                let _ = p.plan(&dc, &mut cap, ServiceId::from_raw(s), acct, 800, pressure);
+                let _ = p.plan(&occ, &mut cap, ServiceId::from_raw(s), acct, 800, pressure);
             }
         }
         let h1: std::collections::HashSet<HostId> = p
@@ -648,6 +643,7 @@ mod tests {
     fn dynamic_region_varies_across_launches() {
         // us-central1-style: large cells, fresh subset per launch.
         let dc = dc(21, 520);
+        let occ = Occupancy::new(dc.len());
         let config = PlacementConfig {
             cell_size: 260,
             base_hosts_per_account: 240,
@@ -658,11 +654,11 @@ mod tests {
         let acct = AccountId::from_raw(1);
         let svc = ServiceId::from_raw(1);
         let first: std::collections::HashSet<HostId> = p
-            .plan(&dc, &mut cap, svc, acct, 800, 0)
+            .plan(&occ, &mut cap, svc, acct, 800, 0)
             .into_iter()
             .collect();
         let second: std::collections::HashSet<HostId> = p
-            .plan(&dc, &mut cap, svc, acct, 800, 0)
+            .plan(&occ, &mut cap, svc, acct, 800, 0)
             .into_iter()
             .collect();
         let moved = second.difference(&first).count();
@@ -679,11 +675,12 @@ mod tests {
     #[test]
     fn zero_need_returns_empty_plan() {
         let dc = dc(23, 100);
+        let occ = Occupancy::new(dc.len());
         let mut p = policy(&dc, 24);
         let mut cap = capacity_for(&dc, &p);
         assert!(p
             .plan(
-                &dc,
+                &occ,
                 &mut cap,
                 ServiceId::from_raw(1),
                 AccountId::from_raw(1),
@@ -702,6 +699,7 @@ mod tests {
             ..HostGenConfig::default()
         };
         let dc = DataCenter::generate("tiny", 30, &config, 0.9, &mut rng);
+        let occ = Occupancy::new(dc.len());
         let mut p: CloudRunPolicy = CloudRunPolicy::new(
             &dc,
             PlacementConfig {
@@ -715,7 +713,7 @@ mod tests {
         let mut cap = capacity_for(&dc, &p);
         // 8 base hosts × 4 slots = 32 < 60 requested.
         let plan = p.plan(
-            &dc,
+            &occ,
             &mut cap,
             ServiceId::from_raw(1),
             AccountId::from_raw(1),
@@ -736,15 +734,16 @@ mod tests {
         let dc = dc(27, 200);
         let mut p = policy(&dc, 28);
         let mut cap = capacity_for(&dc, &p);
-        let before = cap.total_free(&dc);
+        let occ = Occupancy::new(dc.len());
+        let before = cap.total_free(&occ);
         let _ = p.plan(
-            &dc,
+            &occ,
             &mut cap,
             ServiceId::from_raw(1),
             AccountId::from_raw(1),
             500,
             0,
         );
-        assert_eq!(cap.total_free(&dc), before);
+        assert_eq!(cap.total_free(&occ), before);
     }
 }

@@ -41,17 +41,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 use eaao_cloudsim::datacenter::DataCenter;
 use eaao_cloudsim::ids::{AccountId, HostId, ServiceId};
 use eaao_cloudsim::membus::LockCheckProfile;
 use eaao_simcore::rng::SimRng;
 use eaao_simcore::time::SimDuration;
-use eaao_simcore::wsample::{sample_distinct, IndexSampler};
+use eaao_simcore::wsample::{sample_distinct_excluding, IndexSampler};
 
 use crate::config::{PlacementConfig, RegionConfig};
 use crate::engine::{CapacityIndex, Engine, OptimizedEngine};
+use crate::occupancy::Occupancy;
 use crate::placement::{CloudRunPolicy, PlacementPlan};
 
 /// The platform families a region can model, by name.
@@ -191,11 +191,12 @@ pub trait PlatformPolicy<E: Engine>: fmt::Debug + Clone + Sized {
 
     /// Plans placement of `need_new` new instances against `capacity`'s
     /// planning overlay (tentative only; committing is the caller's
-    /// job). `pressure` is the service's demand pressure; policies
-    /// without a load balancer ignore it.
+    /// job), querying it with the world's `occupancy`. `pressure` is the
+    /// service's demand pressure; policies without a load balancer
+    /// ignore it.
     fn plan(
         &mut self,
-        dc: &DataCenter,
+        occupancy: &Occupancy,
         capacity: &mut E::Capacity,
         service: ServiceId,
         account: AccountId,
@@ -231,14 +232,14 @@ impl<E: Engine> PlatformPolicy<E> for CloudRunPolicy<E> {
 
     fn plan(
         &mut self,
-        dc: &DataCenter,
+        occupancy: &Occupancy,
         capacity: &mut E::Capacity,
         service: ServiceId,
         account: AccountId,
         need_new: usize,
         pressure: usize,
     ) -> PlacementPlan {
-        self.plan(dc, capacity, service, account, need_new, pressure)
+        self.plan(occupancy, capacity, service, account, need_new, pressure)
     }
 }
 
@@ -256,15 +257,14 @@ impl<E: Engine> PlatformPolicy<E> for CloudRunPolicy<E> {
 /// exploration.
 pub struct LambdaLikePolicy<E: Engine = OptimizedEngine> {
     rng: SimRng,
-    /// Fixed-point popularity weight per host (constant after build; the
-    /// data center's shared genesis lane, so branches alias it).
-    pop_fixed: Arc<Vec<u64>>,
-    /// Popularity sampler over the pool; a claimed host's weight is
-    /// zeroed permanently (claims are never released).
+    /// Popularity sampler over the pool. Never written: fresh claims
+    /// exclude `owned` on the fly, so every branch keeps sharing the
+    /// data center's genesis lanes.
     pop_sampler: E::Sampler,
     /// Per-account claimed hosts, in claim (bin-packing fill) order.
     claims: BTreeMap<AccountId, Vec<HostId>>,
-    /// Every claimed host, across all accounts.
+    /// Every claimed host, across all accounts (claims are never
+    /// released).
     owned: BTreeSet<HostId>,
 }
 
@@ -273,7 +273,6 @@ impl<E: Engine> Clone for LambdaLikePolicy<E> {
     fn clone(&self) -> Self {
         LambdaLikePolicy {
             rng: self.rng.clone(),
-            pop_fixed: Arc::clone(&self.pop_fixed),
             pop_sampler: self.pop_sampler.clone(),
             claims: self.claims.clone(),
             owned: self.owned.clone(),
@@ -299,9 +298,8 @@ impl<E: Engine> LambdaLikePolicy<E> {
     /// Claims the most attractive unclaimed host (popularity-weighted),
     /// or `None` when every host is claimed.
     fn claim_fresh(&mut self, account: AccountId) -> Option<HostId> {
-        // `sample_distinct` zeroes the picked weight; leaving it zeroed
-        // is exactly the claim semantics (never sampled again).
-        let picks = sample_distinct(&mut self.pop_sampler, 1, &mut self.rng);
+        let owned: Vec<usize> = self.owned.iter().map(|h| h.as_usize()).collect();
+        let picks = sample_distinct_excluding(&self.pop_sampler, 1, &owned, &mut self.rng);
         let &i = picks.first()?;
         let host = HostId::from_raw(i as u32);
         self.owned.insert(host);
@@ -314,12 +312,9 @@ impl<E: Engine> PlatformPolicy<E> for LambdaLikePolicy<E> {
     fn build(dc: &DataCenter, _region: &RegionConfig, rng: SimRng) -> Self {
         // Closed-form genesis lane: no host is materialized here, and
         // the optimized engine shares the pool's cached sampler lanes.
-        let pop_fixed = dc.popularity_weights();
-        let pop_sampler = E::popularity_sampler(dc);
         LambdaLikePolicy {
             rng,
-            pop_fixed,
-            pop_sampler,
+            pop_sampler: E::popularity_sampler(dc),
             claims: BTreeMap::new(),
             owned: BTreeSet::new(),
         }
@@ -332,7 +327,7 @@ impl<E: Engine> PlatformPolicy<E> for LambdaLikePolicy<E> {
     }
 
     fn host_cells(&self) -> Vec<u32> {
-        vec![0; self.pop_fixed.len()]
+        vec![0; self.pop_sampler.len()]
     }
 
     fn base_hosts(&mut self, account: AccountId) -> &[HostId] {
@@ -342,7 +337,7 @@ impl<E: Engine> PlatformPolicy<E> for LambdaLikePolicy<E> {
 
     fn plan(
         &mut self,
-        dc: &DataCenter,
+        occupancy: &Occupancy,
         capacity: &mut E::Capacity,
         _service: ServiceId,
         account: AccountId,
@@ -359,7 +354,7 @@ impl<E: Engine> PlatformPolicy<E> for LambdaLikePolicy<E> {
         // Bin-pack the account's claimed hosts first, in claim order.
         let claimed = self.claims.entry(account).or_default().clone();
         'packed: for host in claimed {
-            while capacity.plan_take(host, dc) {
+            while capacity.plan_take(host, occupancy) {
                 plan.push(host);
                 if plan.len() == need_new {
                     break 'packed;
@@ -373,7 +368,7 @@ impl<E: Engine> PlatformPolicy<E> for LambdaLikePolicy<E> {
             let Some(host) = self.claim_fresh(account) else {
                 break;
             };
-            while capacity.plan_take(host, dc) {
+            while capacity.plan_take(host, occupancy) {
                 plan.push(host);
                 if plan.len() == need_new {
                     break;
@@ -399,11 +394,8 @@ impl<E: Engine> PlatformPolicy<E> for LambdaLikePolicy<E> {
 /// instances.
 pub struct AzureLikePolicy<E: Engine = OptimizedEngine> {
     rng: SimRng,
-    /// Fixed-point popularity weight per host (constant after build; the
-    /// data center's shared genesis lane, so branches alias it).
-    pop_fixed: Arc<Vec<u64>>,
-    /// Popularity sampler; weights are suppressed and restored around
-    /// exclusion-aware draws (same discipline as `CloudRunPolicy`).
+    /// Popularity sampler; never written, exclusion-aware draws subtract
+    /// excluded weights on the fly (same discipline as `CloudRunPolicy`).
     pop_sampler: E::Sampler,
     /// Per-service affinity hosts, in first-use order.
     affinity: BTreeMap<ServiceId, Vec<HostId>>,
@@ -416,7 +408,6 @@ impl<E: Engine> Clone for AzureLikePolicy<E> {
     fn clone(&self) -> Self {
         AzureLikePolicy {
             rng: self.rng.clone(),
-            pop_fixed: Arc::clone(&self.pop_fixed),
             pop_sampler: self.pop_sampler.clone(),
             affinity: self.affinity.clone(),
             seen: self.seen.clone(),
@@ -446,17 +437,8 @@ impl<E: Engine> AzureLikePolicy<E> {
     /// One popularity-weighted pick outside `exclude`, or `None` when
     /// everything is excluded or weightless.
     fn sample_fresh(&mut self, exclude: &[HostId]) -> Option<HostId> {
-        for &h in exclude {
-            self.pop_sampler.set_weight(h.as_usize(), 0);
-        }
-        let picks = sample_distinct(&mut self.pop_sampler, 1, &mut self.rng);
-        for &h in exclude {
-            let i = h.as_usize();
-            self.pop_sampler.set_weight(i, self.pop_fixed[i]);
-        }
-        for &i in &picks {
-            self.pop_sampler.set_weight(i, self.pop_fixed[i]);
-        }
+        let exclude: Vec<usize> = exclude.iter().map(|h| h.as_usize()).collect();
+        let picks = sample_distinct_excluding(&self.pop_sampler, 1, &exclude, &mut self.rng);
         picks.first().map(|&i| HostId::from_raw(i as u32))
     }
 }
@@ -465,12 +447,9 @@ impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
     fn build(dc: &DataCenter, _region: &RegionConfig, rng: SimRng) -> Self {
         // Closed-form genesis lane: no host is materialized here, and
         // the optimized engine shares the pool's cached sampler lanes.
-        let pop_fixed = dc.popularity_weights();
-        let pop_sampler = E::popularity_sampler(dc);
         AzureLikePolicy {
             rng,
-            pop_fixed,
-            pop_sampler,
+            pop_sampler: E::popularity_sampler(dc),
             affinity: BTreeMap::new(),
             seen: BTreeMap::new(),
         }
@@ -481,7 +460,7 @@ impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
     }
 
     fn host_cells(&self) -> Vec<u32> {
-        vec![0; self.pop_fixed.len()]
+        vec![0; self.pop_sampler.len()]
     }
 
     fn base_hosts(&mut self, account: AccountId) -> &[HostId] {
@@ -491,7 +470,7 @@ impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
 
     fn plan(
         &mut self,
-        dc: &DataCenter,
+        occupancy: &Occupancy,
         capacity: &mut E::Capacity,
         service: ServiceId,
         account: AccountId,
@@ -509,7 +488,7 @@ impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
         // first, in first-use order.
         let affine = self.affinity.entry(service).or_default().clone();
         'packed: for host in affine {
-            while capacity.plan_take(host, dc) {
+            while capacity.plan_take(host, occupancy) {
                 plan.push(host);
                 if plan.len() == need_new {
                     break 'packed;
@@ -524,7 +503,7 @@ impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
                 break;
             };
             self.affinity.entry(service).or_default().push(host);
-            while capacity.plan_take(host, dc) {
+            while capacity.plan_take(host, occupancy) {
                 plan.push(host);
                 if plan.len() == need_new {
                     break;
@@ -535,7 +514,7 @@ impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
         // slots elsewhere (another service's hosts are fair game here —
         // no account partition on this platform).
         while plan.len() < need_new {
-            match capacity.plan_spill_pick(dc, &mut self.rng) {
+            match capacity.plan_spill_pick(occupancy, &mut self.rng) {
                 Some(host) => plan.push(host),
                 None => break,
             }
@@ -640,7 +619,7 @@ impl<E: Engine> PlatformPolicy<E> for AnyPlatformPolicy<E> {
 
     fn plan(
         &mut self,
-        dc: &DataCenter,
+        occupancy: &Occupancy,
         capacity: &mut E::Capacity,
         service: ServiceId,
         account: AccountId,
@@ -648,14 +627,14 @@ impl<E: Engine> PlatformPolicy<E> for AnyPlatformPolicy<E> {
         pressure: usize,
     ) -> PlacementPlan {
         match self {
-            AnyPlatformPolicy::CloudRun(p) => {
-                PlatformPolicy::<E>::plan(p, dc, capacity, service, account, need_new, pressure)
-            }
+            AnyPlatformPolicy::CloudRun(p) => PlatformPolicy::<E>::plan(
+                p, occupancy, capacity, service, account, need_new, pressure,
+            ),
             AnyPlatformPolicy::LambdaLike(p) => {
-                p.plan(dc, capacity, service, account, need_new, pressure)
+                p.plan(occupancy, capacity, service, account, need_new, pressure)
             }
             AnyPlatformPolicy::AzureLike(p) => {
-                p.plan(dc, capacity, service, account, need_new, pressure)
+                p.plan(occupancy, capacity, service, account, need_new, pressure)
             }
         }
     }
@@ -710,10 +689,11 @@ mod tests {
     #[test]
     fn lambda_partitions_accounts_onto_disjoint_hosts() {
         let dc = dc(1, 60);
+        let occ = Occupancy::new(dc.len());
         let region = region(60, PlatformKind::LambdaLike);
         let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 2);
         let plan_a = p.plan(
-            &dc,
+            &occ,
             &mut cap,
             ServiceId::from_raw(1),
             AccountId::from_raw(1),
@@ -721,7 +701,7 @@ mod tests {
             0,
         );
         let plan_b = p.plan(
-            &dc,
+            &occ,
             &mut cap,
             ServiceId::from_raw(2),
             AccountId::from_raw(2),
@@ -736,10 +716,11 @@ mod tests {
     #[test]
     fn lambda_bin_packs_densely() {
         let dc = dc(3, 60);
+        let occ = Occupancy::new(dc.len());
         let region = region(60, PlatformKind::LambdaLike);
         let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 4);
         let plan = p.plan(
-            &dc,
+            &occ,
             &mut cap,
             ServiceId::from_raw(1),
             AccountId::from_raw(1),
@@ -757,16 +738,17 @@ mod tests {
     #[test]
     fn lambda_pressure_never_grows_the_footprint() {
         let dc = dc(5, 60);
+        let occ = Occupancy::new(dc.len());
         let region = region(60, PlatformKind::LambdaLike);
         let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 6);
         let svc = ServiceId::from_raw(1);
         let acct = AccountId::from_raw(1);
         let cold: HashSet<HostId> = p
-            .plan(&dc, &mut cap, svc, acct, 40, 0)
+            .plan(&occ, &mut cap, svc, acct, 40, 0)
             .into_iter()
             .collect();
         let hot: HashSet<HostId> = p
-            .plan(&dc, &mut cap, svc, acct, 40, 5)
+            .plan(&occ, &mut cap, svc, acct, 40, 5)
             .into_iter()
             .collect();
         // No helper exploration: hot launches stay inside the claimed
@@ -781,16 +763,17 @@ mod tests {
     #[test]
     fn azure_reuses_affinity_hosts_across_launches() {
         let dc = dc(7, 60);
+        let occ = Occupancy::new(dc.len());
         let region = region(60, PlatformKind::AzureLike);
         let (mut p, mut cap) = build::<AzureLikePolicy<OptimizedEngine>>(&dc, &region, 8);
         let svc = ServiceId::from_raw(1);
         let acct = AccountId::from_raw(1);
         let first: HashSet<HostId> = p
-            .plan(&dc, &mut cap, svc, acct, 60, 0)
+            .plan(&occ, &mut cap, svc, acct, 60, 0)
             .into_iter()
             .collect();
         let second: HashSet<HostId> = p
-            .plan(&dc, &mut cap, svc, acct, 60, 0)
+            .plan(&occ, &mut cap, svc, acct, 60, 0)
             .into_iter()
             .collect();
         // The overlay never commits, so the capacity freed between plans

@@ -30,6 +30,7 @@ use crate::config::RegionConfig;
 use crate::demand::DemandWindow;
 use crate::engine::{CapacityIndex, Engine, OptimizedEngine};
 use crate::error::{GuestError, LaunchError};
+use crate::occupancy::Occupancy;
 use crate::placement::PlacementPlan;
 use crate::platform::{AnyPlatformPolicy, PlatformPolicy};
 
@@ -95,8 +96,10 @@ pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatform
     region: RegionConfig,
     clock: SimClock,
     dc: DataCenter,
+    /// Which live instance runs on which host.
+    occupancy: Occupancy,
     policy: P,
-    /// Free-capacity index mirroring `dc` residency; maintained on every
+    /// Free-capacity index mirroring `occupancy`; maintained on every
     /// instance create/terminate and host reboot.
     capacity: E::Capacity,
     accounts: BTreeMap<AccountId, Account>,
@@ -122,12 +125,12 @@ pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatform
 
 // Manual impl: `derive(Clone)` would demand `E: Clone`, but the world
 // only holds the engine's *associated types* (`E::Capacity`), which the
-// `Engine` trait already bounds `Clone`. Cloning is the copy-on-write
-// fork primitive behind [`World::snapshot`] and [`World::branch`]:
-// unmaterialized data-center shards stay unmaterialized, materialized
-// shards are shared `Arc`s that unshare on first write, and everything
-// else (indices, instances, event queue, RNG position) is copied so the
-// two worlds replay independently but identically from the fork point.
+// `Engine` trait already bounds `Clone`. Cloning is the fork primitive
+// behind [`World::snapshot`] and [`World::branch`]: the data center's
+// immutable genesis (and every host shard generated into it) is shared,
+// the index lanes are copy-on-write, and everything else (residency,
+// instances, event queue, RNG position) is copied so the two worlds
+// replay independently but identically from the fork point.
 impl<E: Engine, P: PlatformPolicy<E>> Clone for World<E, P> {
     fn clone(&self) -> Self {
         World {
@@ -136,6 +139,7 @@ impl<E: Engine, P: PlatformPolicy<E>> Clone for World<E, P> {
             // a branched world must keep its own.
             clock: self.clock.fork(),
             dc: self.dc.clone(),
+            occupancy: self.occupancy.clone(),
             policy: self.policy.clone(),
             capacity: self.capacity.clone(),
             accounts: self.accounts.clone(),
@@ -163,9 +167,9 @@ impl<E: Engine, P: PlatformPolicy<E>> Clone for World<E, P> {
 /// mutable worlds, any number of times. Each branch resumes from the
 /// captured state and replays exactly as the original world would have
 /// — and mutating a branch never perturbs the snapshot or its other
-/// branches (per-shard copy-on-write in the data center; plain copies
-/// everywhere else). Dropping the snapshot (or the world it came from)
-/// leaves live branches fully intact.
+/// branches (immutable shared genesis in the data center, copy-on-write
+/// index lanes, plain copies everywhere else). Dropping the snapshot (or
+/// the world it came from) leaves live branches fully intact.
 ///
 /// [`branch`]: WorldSnapshot::branch
 #[derive(Debug)]
@@ -246,6 +250,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         World {
             clock: SimClock::new(),
             dc,
+            occupancy: Occupancy::new(region.host_count),
             policy,
             capacity,
             accounts: BTreeMap::new(),
@@ -380,7 +385,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             .expect("demand window exists")
             .pressure(now);
         let plan = self.policy.plan(
-            &self.dc,
+            &self.occupancy,
             &mut self.capacity,
             service,
             owner,
@@ -445,7 +450,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         for &host_id in plan {
             let id = InstanceId::from_raw(self.next_instance);
             self.next_instance += 1;
-            self.dc.host_mut(host_id).admit(id);
+            self.occupancy.admit(host_id, id);
             let host = self.dc.host(host_id);
             let sandbox = match spec.generation {
                 Generation::Gen1 => {
@@ -482,7 +487,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             ids.push(id);
         }
         for (&host, &n) in &per_host {
-            self.capacity.on_admit_n(host, n, &self.dc);
+            self.capacity.on_admit_n(host, n, &self.occupancy);
         }
         self.active_index
             .entry(service)
@@ -689,7 +694,8 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 // Uniform mark of the merged per-host Poisson processes.
                 let host = HostId::from_raw(self.rng.below(self.dc.len() as u64) as u32);
                 obs::count("world.host_reboots", 1);
-                let displaced = self.dc.reboot_host(host, now);
+                self.dc.reboot_host(host, now);
+                let displaced = self.occupancy.displace(host);
                 obs::count("world.instances_displaced", displaced.len() as u64);
                 for &id in &displaced {
                     let instance = self.instances.get_mut(&id).expect("resident exists");
@@ -704,7 +710,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                     self.unindex(service, id, idle_since);
                 }
                 self.capacity
-                    .on_host_reboot(host, displaced.len(), &self.dc);
+                    .on_host_reboot(host, displaced.len(), &self.occupancy);
                 self.note_spend();
                 // Aggregate rate is hosts/mean ⇒ next sweep after
                 // Exp(mean / hosts).
@@ -733,8 +739,8 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             self.note_spend();
         }
         self.unindex(service, id, idle_since);
-        self.dc.host_mut(host).evict(id);
-        self.capacity.on_evict(host, &self.dc);
+        self.occupancy.evict(host, id);
+        self.capacity.on_evict(host, &self.occupancy);
     }
 
     /// Drops a just-terminated instance from the service indexes.
@@ -1050,6 +1056,11 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         &self.dc
     }
 
+    /// **Ground truth**: which live instance runs on which host.
+    pub fn occupancy(&self) -> &Occupancy {
+        &self.occupancy
+    }
+
     /// A live instance record.
     ///
     /// # Panics
@@ -1097,7 +1108,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// Total free instance slots across the region (from the incremental
     /// capacity index).
     pub fn free_slots(&self) -> u64 {
-        self.capacity.total_free(&self.dc)
+        self.capacity.total_free(&self.occupancy)
     }
 
     /// Free instance slots in one scheduling cell.
@@ -1106,7 +1117,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     ///
     /// May panic if `cell >= scheduling_cell_count()`.
     pub fn free_slots_in_cell(&self, cell: usize) -> u64 {
-        self.capacity.cell_free(cell, &self.dc)
+        self.capacity.cell_free(cell, &self.occupancy)
     }
 
     /// Number of scheduling cells in the region.
@@ -1154,9 +1165,9 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
 
     /// Takes a frozen copy-on-write snapshot of the current state.
     ///
-    /// Snapshots are cheap in proportion to what has actually
-    /// materialized and mutated: untouched data-center shards cost
-    /// nothing, touched shards share an `Arc` until one side writes.
+    /// Snapshots are cheap in proportion to the live state: the data
+    /// center's genesis and every host generated into it are shared, the
+    /// pool-sized index lanes share an `Arc` until one side writes.
     /// The snapshot can be [`branch`](WorldSnapshot::branch)ed any
     /// number of times; every branch replays from this exact state.
     pub fn snapshot(&self) -> WorldSnapshot<E, P> {
@@ -1209,8 +1220,8 @@ mod tests {
         for &id in launch.instances() {
             assert_eq!(world.instance(id).state(), InstanceState::Active);
         }
-        // Residency is mirrored on hosts.
-        assert_eq!(world.data_center().resident_instances(), 100);
+        // Residency is recorded per host.
+        assert_eq!(world.occupancy().len(), 100);
     }
 
     #[test]
@@ -1276,7 +1287,7 @@ mod tests {
         // After the hard cap: all gone.
         world.advance(SimDuration::from_mins(10));
         assert_eq!(world.alive_count(service), 0);
-        assert_eq!(world.data_center().resident_instances(), 0);
+        assert_eq!(world.occupancy().len(), 0);
     }
 
     #[test]
@@ -1401,7 +1412,7 @@ mod tests {
         world.launch(service, 20).expect("within caps");
         world.kill_all(service);
         assert_eq!(world.alive_count(service), 0);
-        assert_eq!(world.data_center().resident_instances(), 0);
+        assert_eq!(world.occupancy().len(), 0);
     }
 
     #[test]
@@ -1438,7 +1449,7 @@ mod tests {
         // Displaced instances were terminated, not leaked.
         for id in world.alive_instances_of(service) {
             let host = world.host_of(id);
-            assert!(world.data_center().host(host).hosts_instance(id));
+            assert!(world.occupancy().contains(host, id));
         }
     }
 

@@ -1,8 +1,8 @@
 //! Weighted index sampling over fixed-point integer weights.
 //!
 //! The placement hot path samples hosts proportionally to popularity, with
-//! individual weights suppressed and restored as hosts are excluded, picked
-//! without replacement, or fill up. This module defines the *sampling
+//! hosts excluded, picked without replacement, or suppressed while they
+//! are full. This module defines the *sampling
 //! protocol* every backend must speak so that an optimized engine and a
 //! naive reference engine consume identical RNG streams and return
 //! identical picks:
@@ -130,6 +130,76 @@ pub fn sample_distinct<S: IndexSampler>(
         }
     }
     picks
+}
+
+/// Samples up to `count` distinct indices exactly as [`sample_distinct`]
+/// would after zeroing the weights of `exclude` — the same picks from the
+/// same `rng.below(total)` draws — but without writing to the sampler:
+/// excluded and already-picked weights are subtracted on the fly. A
+/// sampler shared copy-on-write (with branches, or with a pool's genesis
+/// lanes) therefore stays shared.
+///
+/// # Panics
+///
+/// Panics if an index in `exclude` is out of range.
+pub fn sample_distinct_excluding<S: IndexSampler>(
+    sampler: &S,
+    count: usize,
+    exclude: &[usize],
+    rng: &mut SimRng,
+) -> Vec<usize> {
+    let mut zeroed = exclude.to_vec();
+    zeroed.sort_unstable();
+    zeroed.dedup();
+    // `removed[k]`: the weight zeroed below `zeroed[k]` (one extra entry
+    // for the whole set).
+    let mut removed = vec![0u64];
+    for &z in &zeroed {
+        removed.push(removed[removed.len() - 1] + sampler.weight(z));
+    }
+    let mut total = sampler.total() - removed[zeroed.len()];
+    let mut picks = Vec::with_capacity(count.min(sampler.len()));
+    while picks.len() < count && total > 0 {
+        let pick = locate_excluding(sampler, &zeroed, &removed, rng.below(total));
+        let at = zeroed.partition_point(|&z| z < pick);
+        let weight = sampler.weight(pick);
+        zeroed.insert(at, pick);
+        removed.insert(at + 1, removed[at]);
+        for r in &mut removed[at + 1..] {
+            *r += weight;
+        }
+        total -= weight;
+        picks.push(pick);
+    }
+    picks
+}
+
+/// What [`IndexSampler::locate`] would return for `target` if every index
+/// of `zeroed` (ascending, deduplicated) weighed zero, `removed` being its
+/// prefix sums of weight.
+///
+/// Between `zeroed[k - 1]` and `zeroed[k]` the zeroed prefix removes
+/// `removed[k]` weight, so an index there is `locate(target + removed[k])`
+/// if that lands inside the gap. The first gap whose shifted locate stays
+/// below its upper end is the answer (the last gap is unbounded), and
+/// that predicate is monotone in `k`, so a binary search finds it.
+// tidy:allow(panic-reachability) -- `mid` and `lo` stay below `removed.len() = zeroed.len() + 1`, and `mid < zeroed.len()` inside the loop; every shifted target stays below the sampler's total because it is at most `target + Σ zeroed weight` with `target` drawn below the remainder.
+fn locate_excluding<S: IndexSampler>(
+    sampler: &S,
+    zeroed: &[usize],
+    removed: &[u64],
+    target: u64,
+) -> usize {
+    let (mut lo, mut hi) = (0, zeroed.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if sampler.locate(target + removed[mid]) < zeroed[mid] {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    sampler.locate(target + removed[lo])
 }
 
 /// Builds the 1-indexed Fenwick (binary indexed) tree over `weights`:
@@ -395,6 +465,29 @@ mod tests {
         assert_eq!(sorted.len(), picks.len(), "duplicate picks");
         assert_eq!(picks.len(), 4, "exhausts the population then stops");
         assert_eq!(s.total(), 0);
+    }
+
+    #[test]
+    fn excluding_draws_match_zeroing_draws_without_writing() {
+        let mut gen = SimRng::seed_from(17);
+        for round in 0..200 {
+            let n = 1 + gen.below(60) as usize;
+            let weights: Vec<u64> = (0..n).map(|_| gen.below(4) * gen.below(50)).collect();
+            let exclude: Vec<usize> = (0..gen.below(8))
+                .map(|_| gen.below(n as u64) as usize)
+                .collect();
+            let count = gen.below(n as u64 + 2) as usize;
+            let shared = FenwickSampler::from_weights(weights.clone());
+            let mut zeroing = shared.clone();
+            for &i in &exclude {
+                zeroing.set_weight(i, 0);
+            }
+            let (mut rng_a, mut rng_b) = (SimRng::seed_from(round), SimRng::seed_from(round));
+            let expected = sample_distinct(&mut zeroing, count, &mut rng_a);
+            let picks = sample_distinct_excluding(&shared, count, &exclude, &mut rng_b);
+            assert_eq!(picks, expected, "round {round}");
+            assert_eq!(rng_a.below(1 << 20), rng_b.below(1 << 20), "round {round}");
+        }
     }
 
     #[test]

@@ -95,16 +95,17 @@ fn the_field_level_sanctioned_sites_are_live() {
     );
 
     // DataCenter: the share-vs-detach decision is written down as a manual
-    // Clone naming every field; the genesis OnceCell lanes carry
-    // cow-aliasing allows.
+    // Clone naming every field. The genesis it shares is immutable; the
+    // per-world touch record is the one interior-mutable field, and it
+    // carries a cow-aliasing allow.
     let dc = read("crates/cloudsim/src/datacenter.rs");
     assert!(
         dc.contains("impl Clone for DataCenter"),
         "DataCenter must spell out its share-vs-detach decision in a manual Clone"
     );
     assert!(
-        dc.matches("tidy:allow(cow-aliasing)").count() >= 4,
-        "each genesis OnceCell lane on DataCenter needs its own justified cow-aliasing allow"
+        dc.contains("touched: Vec<Cell<u64>>, // tidy:allow(cow-aliasing)"),
+        "DataCenter's per-world touch record needs its justified cow-aliasing allow"
     );
 
     // The COW index types reached only through `E::Sampler`/`E::Capacity`

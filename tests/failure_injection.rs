@@ -158,8 +158,9 @@ fn attack_degrades_gracefully_when_the_pool_is_nearly_full() {
     }
     .run(&mut world, attacker);
     assert!(oversized.is_err());
-    for host in world.data_center().hosts() {
-        assert!(host.resident_count() <= host.capacity());
+    let capacity = world.data_center().host_capacity();
+    for host in world.data_center().host_ids() {
+        assert!(world.occupancy().count(host) <= capacity);
     }
 }
 

@@ -17,27 +17,25 @@ use eaao::prelude::*;
 use eaao_oracle::schedule::{apply, Session};
 
 fn check_invariants(world: &World, services: &[ServiceId]) -> Result<(), TestCaseError> {
-    // 1. The host-side residency mirror matches the instance registry.
+    let occupancy = world.occupancy();
+    let dc = world.data_center();
+    // 1. The residency index matches the instance registry.
     let alive_total: usize = services.iter().map(|&s| world.alive_count(s)).sum();
-    prop_assert_eq!(
-        world.data_center().resident_instances(),
-        alive_total,
-        "residency mirror out of sync"
-    );
+    prop_assert_eq!(occupancy.len(), alive_total, "residency index out of sync");
     // 2. No host exceeds its capacity.
-    for host in world.data_center().hosts() {
+    for host in dc.host_ids() {
         prop_assert!(
-            host.resident_count() <= host.capacity(),
+            occupancy.count(host) <= dc.host_capacity(),
             "host {} over capacity",
-            host.id()
+            host
         );
     }
-    // 3. Every alive instance is where its host thinks it is.
+    // 3. Every alive instance is resident where the registry says.
     for &service in services {
         for id in world.alive_instances_of(service) {
             let host = world.host_of(id);
             prop_assert!(
-                world.data_center().host(host).hosts_instance(id),
+                occupancy.contains(host, id),
                 "instance {} missing from host {}",
                 id,
                 host
@@ -45,10 +43,9 @@ fn check_invariants(world: &World, services: &[ServiceId]) -> Result<(), TestCas
         }
     }
     // 4. The engine's free-slot index agrees with ground truth.
-    let ground_truth: u64 = world
-        .data_center()
-        .hosts()
-        .map(|h| h.free_slots() as u64)
+    let ground_truth: u64 = dc
+        .host_ids()
+        .map(|h| (dc.host_capacity() - occupancy.count(h)) as u64)
         .sum();
     prop_assert_eq!(world.free_slots(), ground_truth, "capacity index drifted");
     Ok(())
@@ -84,7 +81,7 @@ proptest! {
             world.kill_all(s);
         }
         world.advance(SimDuration::from_mins(20));
-        prop_assert_eq!(world.data_center().resident_instances(), 0);
+        prop_assert!(world.occupancy().is_empty());
     }
 
     /// Cold-cell bursts: the pool is big enough for several scheduling
@@ -110,7 +107,7 @@ proptest! {
         for id in world.alive_instances_of(cold) {
             let host = world.host_of(id);
             prop_assert!(
-                world.data_center().host(host).hosts_instance(id),
+                world.occupancy().contains(host, id),
                 "burst instance {} missing from host {}",
                 id,
                 host

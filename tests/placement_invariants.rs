@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use common::strategies;
+use eaao::obs::{with_instrument, Collector};
 use eaao::orchestrator::engine::OptimizedEngine;
 use eaao::prelude::*;
 use eaao_oracle::schedule::run;
@@ -46,6 +47,44 @@ proptest! {
     }
 }
 
+/// Branches of one snapshot share the host shards generated into the data
+/// center's genesis, yet each counts the hosts it touched in its own
+/// metrics. The count depends on the branch's own history, never on which
+/// sibling generated a shard first — which is what keeps campaign records
+/// (they carry the counter) byte-identical at any `--jobs`.
+#[test]
+fn branch_metrics_do_not_depend_on_sibling_branches() {
+    let mut world = World::new(RegionConfig::us_east1(), 12);
+    let account = world.create_account();
+    let service = world.deploy_service(account, ServiceSpec::default().with_max_instances(1_000));
+    world.launch(service, 400).expect("fits");
+    let snapshot = world.snapshot();
+    let run_branch = || {
+        let collector = Collector::new();
+        let hosts = with_instrument(collector.clone(), || {
+            let mut branch = snapshot.branch();
+            let tenant = branch.create_account();
+            let svc =
+                branch.deploy_service(tenant, ServiceSpec::default().with_max_instances(1_000));
+            let launch = branch.launch(svc, 800).expect("fits");
+            launch
+                .instances()
+                .iter()
+                .map(|&i| branch.host_of(i))
+                .collect::<Vec<_>>()
+        });
+        let counters = collector.snapshot().counters;
+        (hosts, counters.get("cloudsim.hosts_generated").copied())
+    };
+    let first = run_branch();
+    let second = run_branch();
+    assert!(first.1 > Some(0), "the new tenant's hosts were all warm");
+    assert_eq!(
+        first, second,
+        "a sibling's first touches leaked into a branch"
+    );
+}
+
 #[test]
 fn residency_mirrors_instances_through_a_full_lifecycle() {
     let mut world = World::new(RegionConfig::us_west1(), 1);
@@ -57,16 +96,15 @@ fn residency_mirrors_instances_through_a_full_lifecycle() {
         for &id in launch.instances() {
             let host = world.host_of(id);
             assert!(
-                world.data_center().host(host).hosts_instance(id),
+                world.occupancy().contains(host, id),
                 "round {round}: instance {id} not resident on {host}"
             );
         }
-        assert_eq!(world.data_center().resident_instances(), 200);
+        assert_eq!(world.occupancy().len(), 200);
         world.disconnect_all(service);
         world.advance(SimDuration::from_mins(20));
-        assert_eq!(
-            world.data_center().resident_instances(),
-            0,
+        assert!(
+            world.occupancy().is_empty(),
             "round {round}: reaper left residents behind"
         );
     }
@@ -84,12 +122,12 @@ fn capacity_is_never_exceeded() {
             world.deploy_service(account, ServiceSpec::default().with_max_instances(1_000));
         let _ = world.launch(service, 80);
     }
-    for host in world.data_center().hosts() {
+    let capacity = world.data_center().host_capacity();
+    for host in world.data_center().host_ids() {
+        let residents = world.occupancy().count(host);
         assert!(
-            host.resident_count() <= host.capacity(),
-            "host {} over capacity: {}",
-            host.id(),
-            host.resident_count()
+            residents <= capacity,
+            "host {host} over capacity: {residents}"
         );
     }
 }
