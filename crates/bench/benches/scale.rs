@@ -8,7 +8,9 @@
 //! (`World::branch`, the copy-on-write snapshot primitive — must be
 //! O(1)-ish, not O(hosts)), and running the grid (which must NOT scale
 //! with pool size — that is the point of the incremental capacity index
-//! and precomputed popularity sampler).
+//! and precomputed popularity sampler; it does carry a bounded
+//! constant-factor cost from shard-indirected host access, recorded
+//! honestly as `grid_speedup` below 1).
 //!
 //! Besides the Criterion display output, the bench rewrites
 //! `results/BENCH_scale.json` with wall-clock medians next to the pinned
@@ -122,12 +124,12 @@ fn region(hosts: usize) -> RegionConfig {
 }
 
 /// Untimed warm-up with a negligible residual footprint (one dead
-/// service): a grid-sized cold-then-hot launch cycle, then the grid
-/// itself on a throwaway branch. Branches share the data center's
-/// genesis, so that branch generates every host shard the timed grid
-/// will touch, and the grid column pins the steady-state hot path rather
-/// than first-touch host generation (a cost that grows with the pool:
-/// bigger pools scatter helper hosts over more cold shards).
+/// service): a lazy world's first write to the capacity index's
+/// availability sampler, on the first plan that fills a host, unshares
+/// its copy-on-write genesis lanes — a one-time O(hosts) cost that
+/// belongs with construction, not the steady-state hot path the grid
+/// column pins. One grid-sized launch cycle reaches it (the lanes are
+/// pool-global, so one service unshares them for every later tenant).
 fn warm<E: Engine>(world: &mut World<E>) {
     let account = world.create_account();
     let svc = world.deploy_service(account, ServiceSpec::default().with_max_instances(1_000));
@@ -138,7 +140,6 @@ fn warm<E: Engine>(world: &mut World<E>) {
     world.launch(svc, 400).expect("fits");
     world.kill_all(svc);
     world.advance(SimDuration::from_mins(30));
-    grid(&mut world.branch());
 }
 
 /// Median wall-clock milliseconds of `f` over `reps` runs.
@@ -256,7 +257,7 @@ fn write_report() {
             "  \"workload\": \"8 services x staggered 400-instance launches, idle/reap cycle, 3 relaunch waves, teardown\",\n",
             "  \"seed\": 42,\n",
             "  \"region\": \"us-east1 preset, host pool overridden\",\n",
-            "  \"note\": \"grid_ms is the steady-state hot path (after an untimed warm-up: a launch cycle, then the same grid on a throwaway branch, which generates every host shard the timed grid touches into the shared genesis) and must not scale with hosts; branch_ms is World::branch on a fresh world and must stay O(1)-ish; pre_pr columns are the pinned medians of the commit before lazy worlds (10M: projected, see benches/scale.rs).\",\n",
+            "  \"note\": \"grid_ms is the steady-state hot path (after an untimed warm-up launch cycle that unshares the copy-on-write genesis lanes) and must not scale with hosts; branch_ms is World::branch on a fresh world and must stay O(1)-ish; pre_pr columns are the pinned parent-commit medians (10M: projected, see benches/scale.rs). grid_speedup below 1 is the accepted constant-factor cost of shard-indirected host access — the trade that buys the sublinear build and O(1) branch columns.\",\n",
             "  \"smoke\": {},\n",
             "  \"sizes\": [\n{}\n  ]\n",
             "}}\n"

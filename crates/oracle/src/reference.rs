@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn scan_capacity_mirrors_incremental_through_residency_changes() {
         let dc = small_dc(5, 16, 3);
-        let mut occ = Occupancy::new(dc.len());
+        let mut occ = Occupancy::default();
         let cells: Vec<u32> = (0..16).map(|h| (h % 4) as u32).collect();
         let mut fast = IncrementalCapacity::new(&dc, cells.clone(), 4);
         let mut slow = ScanCapacity::new(&dc, cells, 4);
@@ -274,9 +274,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "is over capacity")]
+    fn admit_beyond_capacity_panics() {
+        let dc = small_dc(5, 4, 2);
+        let mut occ = Occupancy::default();
+        let cells = vec![0; 4];
+        let mut slow = ScanCapacity::new(&dc, cells, 1);
+        let h = HostId::from_raw(1);
+        for i in 0..3 {
+            occ.admit(h, InstanceId::from_raw(i));
+        }
+        slow.on_admit_n(h, 3, &occ);
+    }
+
+    #[test]
     fn spill_picks_agree_with_the_optimized_overlay() {
         let dc = small_dc(11, 10, 2);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let cells: Vec<u32> = (0..10).map(|h| (h % 2) as u32).collect();
         let mut fast = IncrementalCapacity::new(&dc, cells.clone(), 2);
         let mut slow = ScanCapacity::new(&dc, cells, 2);

@@ -281,14 +281,15 @@ impl CapacityIndex for IncrementalCapacity {
 
     // tidy:allow(panic-reachability) -- `h` and its cell come from a HostId of the same fleet these lanes were sized to at construction.
     fn on_admit_n(&mut self, host: HostId, n: usize, occupancy: &Occupancy) {
+        let count = occupancy.count(host);
         assert!(
-            occupancy.count(host) <= self.capacity as usize,
+            count <= self.capacity as usize,
             "admitting past capacity on host {host}"
         );
         let h = host.as_usize();
         self.total_free -= n as u64;
         self.cell_free[self.cell_of_host[h] as usize] -= n as u64;
-        if self.free(host, occupancy) == 0 {
+        if count == self.capacity as usize {
             self.avail.set_weight(h, 0);
         }
     }
@@ -395,7 +396,7 @@ mod tests {
     fn tracks_admit_evict_reboot() {
         use eaao_cloudsim::ids::InstanceId;
         let dc = small_dc(1, 12, 4);
-        let mut occ = Occupancy::new(dc.len());
+        let mut occ = Occupancy::default();
         let mut cap = index_for(&dc, 3);
         assert_mirrors(&cap, &dc, &occ);
 
@@ -418,9 +419,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "admitting past capacity")]
+    fn admit_beyond_capacity_panics() {
+        use eaao_cloudsim::ids::InstanceId;
+        let dc = small_dc(1, 4, 2);
+        let mut occ = Occupancy::default();
+        let mut cap = index_for(&dc, 1);
+        let h = HostId::from_raw(1);
+        for i in 0..3 {
+            occ.admit(h, InstanceId::from_raw(i));
+        }
+        cap.on_admit_n(h, 3, &occ);
+    }
+
+    #[test]
     fn plan_overlay_is_discarded_by_end_plan() {
         let dc = small_dc(2, 6, 2);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut cap = index_for(&dc, 2);
         let h = HostId::from_raw(0);
         cap.begin_plan();
@@ -440,7 +455,7 @@ mod tests {
     #[test]
     fn spill_pick_respects_overlay_capacity() {
         let dc = small_dc(3, 4, 2);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut cap = index_for(&dc, 1);
         let mut rng = SimRng::seed_from(4);
         cap.begin_plan();

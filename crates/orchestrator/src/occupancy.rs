@@ -7,68 +7,59 @@
 //! the identities it records; the reference engine and the invariant
 //! tests scan it as ground truth.
 
-use std::collections::hash_map::DefaultHasher;
-// tidy:allow(determinism) -- `Occupancy::residents` is keyed by host and only ever iterated to rebuild order-free counts; its fixed-key hasher makes even that order reproducible
+// tidy:allow(determinism) -- `Occupancy::residents` is keyed by host and never iterated, so the map's order cannot reach a trajectory
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use eaao_cloudsim::ids::{HostId, InstanceId};
 
 /// The world's residency index: every live instance, keyed by its host.
 ///
-/// Per-host counts are a dense lane, so the placement hot path reads them
-/// in O(1); identities are kept for occupied hosts only. Branching a world
-/// copies the identities and *rebuilds* the counts from them into a fresh
-/// zeroed lane, which costs nothing until written — O(live instances),
-/// like the instance registry itself, never a pool-sized copy.
-#[derive(Debug)]
+/// Only occupied hosts have an entry, so the index (and a branch's copy
+/// of it) costs O(live instances), like the instance registry itself,
+/// never O(pool).
+#[derive(Debug, Clone, Default)]
 pub struct Occupancy {
-    /// Residents per host, indexed by host id.
-    counts: Vec<u32>,
     /// The residents of every occupied host, ascending by id; empty hosts
-    /// have no entry. Probed by host only, so the map's order cannot
-    /// reach a trajectory.
+    /// have no entry. A host's count is the length of its list. Probed by
+    /// host only, so the map's order cannot reach a trajectory.
     // tidy:allow(determinism) -- keyed lookups only, see the field doc
-    residents: HashMap<HostId, Vec<InstanceId>, BuildHasherDefault<DefaultHasher>>,
+    residents: HashMap<HostId, Vec<InstanceId>, BuildHasherDefault<HostIdHasher>>,
     /// Residents across all hosts.
     len: usize,
 }
 
-impl Clone for Occupancy {
-    // Written by hand so the share-vs-detach decision per field is
-    // explicit (the fork-coverage contract): everything is copied, and
-    // the dense counts are rebuilt from the identities instead of cloned.
-    // tidy:allow(panic-reachability) -- every key of `residents` was admitted through `admit`, which indexes `counts` with it, so it is below the lane's length.
-    fn clone(&self) -> Self {
-        let mut counts = vec![0; self.counts.len()];
-        for (host, residents) in &self.residents {
-            counts[host.as_usize()] = residents.len() as u32;
+/// Hashes a host id with one multiply, at a fraction of SipHash's cost on
+/// the placement hot path (every free-slot check reads a count). The
+/// constant is odd, so ids that differ modulo a power-of-two table's size
+/// land in distinct buckets, and the multiply mixes the high bits the
+/// table tags entries with.
+#[derive(Debug, Default)]
+struct HostIdHasher(u64);
+
+impl Hasher for HostIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
         }
-        Occupancy {
-            counts,
-            residents: self.residents.clone(),
-            len: self.len,
-        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(8) ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
 impl Occupancy {
-    /// An empty index over a pool of `hosts` hosts.
-    pub fn new(hosts: usize) -> Self {
-        Occupancy {
-            counts: vec![0; hosts],
-            // tidy:allow(determinism) -- keyed lookups only, see the field doc
-            residents: HashMap::default(),
-            len: 0,
-        }
-    }
-
     /// Places `instance` on `host`.
     ///
     /// # Panics
     ///
     /// Panics if the instance is already resident there — an orchestrator
-    /// bug — or if `host` is outside the pool.
+    /// bug.
     pub fn admit(&mut self, host: HostId, instance: InstanceId) {
         let residents = self.residents.entry(host).or_default();
         let at = residents.partition_point(|&i| i < instance);
@@ -78,7 +69,6 @@ impl Occupancy {
         );
         // Fresh ids only grow, so this is nearly always a push.
         residents.insert(at, instance);
-        self.counts[host.as_usize()] += 1;
         self.len += 1;
     }
 
@@ -99,19 +89,13 @@ impl Occupancy {
         if residents.is_empty() {
             self.residents.remove(&host);
         }
-        self.counts[host.as_usize()] -= 1;
         self.len -= 1;
     }
 
     /// Removes every resident of `host` (a reboot), returning them in
     /// ascending id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is outside the pool.
     pub fn displace(&mut self, host: HostId) -> Vec<InstanceId> {
         let displaced = self.residents.remove(&host).unwrap_or_default();
-        self.counts[host.as_usize()] = 0;
         self.len -= displaced.len();
         displaced
     }
@@ -122,12 +106,8 @@ impl Occupancy {
     }
 
     /// Number of instances resident on `host`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is outside the pool.
     pub fn count(&self, host: HostId) -> usize {
-        self.counts[host.as_usize()] as usize
+        self.residents_of(host).len()
     }
 
     /// Whether `instance` runs on `host`.
@@ -156,7 +136,7 @@ mod tests {
 
     #[test]
     fn admit_evict_and_displace_track_residency() {
-        let mut occ = Occupancy::new(4);
+        let mut occ = Occupancy::default();
         let (h1, h2) = (HostId::from_raw(1), HostId::from_raw(2));
         for raw in [7, 3, 9] {
             occ.admit(h1, InstanceId::from_raw(raw));
@@ -176,8 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn clones_rebuild_counts_and_detach() {
-        let mut occ = Occupancy::new(4);
+    fn clones_detach() {
+        let mut occ = Occupancy::default();
         let h = HostId::from_raw(3);
         occ.admit(h, InstanceId::from_raw(5));
         occ.admit(h, InstanceId::from_raw(6));
@@ -192,7 +172,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already on host")]
     fn double_admit_panics() {
-        let mut occ = Occupancy::new(4);
+        let mut occ = Occupancy::default();
         occ.admit(HostId::from_raw(0), InstanceId::from_raw(1));
         occ.admit(HostId::from_raw(0), InstanceId::from_raw(1));
     }
@@ -200,7 +180,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not on host")]
     fn evict_missing_panics() {
-        let mut occ = Occupancy::new(4);
+        let mut occ = Occupancy::default();
         occ.evict(HostId::from_raw(0), InstanceId::from_raw(9));
     }
 }

@@ -505,7 +505,7 @@ mod tests {
     #[test]
     fn cold_launch_spreads_at_target_density() {
         let dc = dc(9, 520);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut p = policy(&dc, 10);
         let mut cap = capacity_for(&dc, &p);
         let plan = p.plan(
@@ -539,7 +539,7 @@ mod tests {
     #[test]
     fn cold_launches_reuse_base_hosts() {
         let dc = dc(11, 520);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut p = policy(&dc, 12);
         let mut cap = capacity_for(&dc, &p);
         let svc = ServiceId::from_raw(1);
@@ -564,7 +564,7 @@ mod tests {
     #[test]
     fn hot_launches_acquire_helpers_saturating() {
         let dc = dc(13, 520);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut p = policy(&dc, 14);
         let mut cap = capacity_for(&dc, &p);
         let svc = ServiceId::from_raw(1);
@@ -591,7 +591,7 @@ mod tests {
         // If only a few instances need creation, exploration is bounded by
         // that need (the paper's 2-minute-interval result).
         let dc = dc(15, 520);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut p = policy(&dc, 16);
         let mut cap = capacity_for(&dc, &p);
         let svc = ServiceId::from_raw(1);
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn helpers_exclude_own_base() {
         let dc = dc(17, 520);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut p = policy(&dc, 18);
         let mut cap = capacity_for(&dc, &p);
         let svc = ServiceId::from_raw(1);
@@ -615,7 +615,7 @@ mod tests {
     #[test]
     fn different_services_get_overlapping_but_distinct_helpers() {
         let dc = dc(19, 520);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut p = policy(&dc, 20);
         let mut cap = capacity_for(&dc, &p);
         let acct = AccountId::from_raw(1);
@@ -643,7 +643,7 @@ mod tests {
     fn dynamic_region_varies_across_launches() {
         // us-central1-style: large cells, fresh subset per launch.
         let dc = dc(21, 520);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let config = PlacementConfig {
             cell_size: 260,
             base_hosts_per_account: 240,
@@ -675,7 +675,7 @@ mod tests {
     #[test]
     fn zero_need_returns_empty_plan() {
         let dc = dc(23, 100);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut p = policy(&dc, 24);
         let mut cap = capacity_for(&dc, &p);
         assert!(p
@@ -699,7 +699,7 @@ mod tests {
             ..HostGenConfig::default()
         };
         let dc = DataCenter::generate("tiny", 30, &config, 0.9, &mut rng);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let mut p: CloudRunPolicy = CloudRunPolicy::new(
             &dc,
             PlacementConfig {
@@ -734,7 +734,7 @@ mod tests {
         let dc = dc(27, 200);
         let mut p = policy(&dc, 28);
         let mut cap = capacity_for(&dc, &p);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let before = cap.total_free(&occ);
         let _ = p.plan(
             &occ,

@@ -689,7 +689,7 @@ mod tests {
     #[test]
     fn lambda_partitions_accounts_onto_disjoint_hosts() {
         let dc = dc(1, 60);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let region = region(60, PlatformKind::LambdaLike);
         let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 2);
         let plan_a = p.plan(
@@ -716,7 +716,7 @@ mod tests {
     #[test]
     fn lambda_bin_packs_densely() {
         let dc = dc(3, 60);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let region = region(60, PlatformKind::LambdaLike);
         let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 4);
         let plan = p.plan(
@@ -738,7 +738,7 @@ mod tests {
     #[test]
     fn lambda_pressure_never_grows_the_footprint() {
         let dc = dc(5, 60);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let region = region(60, PlatformKind::LambdaLike);
         let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 6);
         let svc = ServiceId::from_raw(1);
@@ -763,7 +763,7 @@ mod tests {
     #[test]
     fn azure_reuses_affinity_hosts_across_launches() {
         let dc = dc(7, 60);
-        let occ = Occupancy::new(dc.len());
+        let occ = Occupancy::default();
         let region = region(60, PlatformKind::AzureLike);
         let (mut p, mut cap) = build::<AzureLikePolicy<OptimizedEngine>>(&dc, &region, 8);
         let svc = ServiceId::from_raw(1);

@@ -250,7 +250,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         World {
             clock: SimClock::new(),
             dc,
-            occupancy: Occupancy::new(region.host_count),
+            occupancy: Occupancy::default(),
             policy,
             capacity,
             accounts: BTreeMap::new(),
