@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use eaao_cloudsim::ids::{HostId, InstanceId};
 use eaao_cloudsim::mitigation::TscMitigation;
 use eaao_cloudsim::service::Generation;
 use eaao_core::coverage::measure_coverage;
@@ -19,6 +20,7 @@ use eaao_core::strategy::{NaiveLaunch, OptimizedLaunch};
 use eaao_core::verify::{ctest_via, CTestConfig, VerifierChannel};
 use eaao_obs::{Collector, Event, MetricsSnapshot};
 use eaao_orchestrator::platform::PlatformKind;
+use eaao_orchestrator::World;
 use eaao_simcore::rng::SimRng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize, Value};
@@ -518,17 +520,8 @@ fn attack_trial(
     // Confirm one ground-truth co-located attacker–victim pair over the
     // run's verification channel: the fingerprint pipeline only *suspects*
     // co-location, the covert channel proves it (§4.3).
-    let verified_at_least_one = report
-        .live_instances
-        .iter()
-        .find_map(|&attacker| {
-            arena
-                .victims
-                .iter()
-                .find(|&&victim| arena.world.host_of(attacker) == arena.world.host_of(victim))
-                .map(|&victim| [attacker, victim])
-        })
-        .map(|pair| {
+    let verified_at_least_one =
+        first_co_located_pair(&arena.world, &report.live_instances, &arena.victims).map(|pair| {
             let verdicts = ctest_via(&mut arena.world, &pair, &CTestConfig::default(), channel)
                 .expect("pair instances are alive");
             verdicts.iter().all(|&v| v)
@@ -548,6 +541,29 @@ fn attack_trial(
     };
     let virtual_s = arena.world.now().as_secs_f64();
     (Some(virtual_s), val(&trial))
+}
+
+/// The first ground-truth co-located attacker–victim pair: the first
+/// attacker, in `attackers` order, sharing a host with any victim, paired
+/// with the first victim on that host in `victims` order. One pass over
+/// each list, where a nested scan costs up to `attackers × victims` host
+/// lookups when no early pair exists.
+fn first_co_located_pair(
+    world: &World,
+    attackers: &[InstanceId],
+    victims: &[InstanceId],
+) -> Option<[InstanceId; 2]> {
+    let mut first_victim_on: BTreeMap<HostId, InstanceId> = BTreeMap::new();
+    for &victim in victims {
+        first_victim_on
+            .entry(world.host_of(victim))
+            .or_insert(victim);
+    }
+    attackers.iter().find_map(|&attacker| {
+        first_victim_on
+            .get(&world.host_of(attacker))
+            .map(|&victim| [attacker, victim])
+    })
 }
 
 #[cfg(test)]
@@ -604,6 +620,48 @@ mod tests {
             Some(Value::Bool(true))
         );
         assert_eq!(at_least_one, verified);
+    }
+
+    #[test]
+    fn the_pair_index_picks_what_the_nested_scan_picks() {
+        let run = quick_run("attack-naive");
+        let mut arena = build_attack_arena(&run, 11);
+        let attackers = NaiveLaunch {
+            services: 3,
+            instances_per_service: 400,
+            ..NaiveLaunch::default()
+        }
+        .run(&mut arena.world, arena.attacker)
+        .expect("fits")
+        .live_instances;
+        let world = &arena.world;
+        let nested = |attackers: &[InstanceId], victims: &[InstanceId]| {
+            attackers.iter().find_map(|&attacker| {
+                victims
+                    .iter()
+                    .find(|&&victim| world.host_of(attacker) == world.host_of(victim))
+                    .map(|&victim| [attacker, victim])
+            })
+        };
+        let reversed = |ids: &[InstanceId]| ids.iter().rev().copied().collect::<Vec<_>>();
+        let orders = [
+            (attackers.clone(), arena.victims.clone()),
+            (reversed(&attackers), arena.victims.clone()),
+            (attackers.clone(), reversed(&arena.victims)),
+            (
+                attackers[attackers.len() / 2..].to_vec(),
+                arena.victims.clone(),
+            ),
+            (Vec::new(), arena.victims.clone()),
+            (attackers.clone(), Vec::new()),
+        ];
+        let mut found = 0;
+        for (attackers, victims) in &orders {
+            let pair = first_co_located_pair(world, attackers, victims);
+            assert_eq!(pair, nested(attackers, victims));
+            found += usize::from(pair.is_some());
+        }
+        assert!(found >= 4, "the fleet co-locates with some victim");
     }
 
     #[test]

@@ -248,17 +248,17 @@ impl MetricsRegistry {
 
     /// The counter named `name`, registering it on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(self.counters.lock().entry(name.to_owned()).or_default())
+        lookup(&self.counters, name)
     }
 
     /// The gauge named `name`, registering it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(self.gauges.lock().entry(name.to_owned()).or_default())
+        lookup(&self.gauges, name)
     }
 
     /// The histogram named `name`, registering it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Arc::clone(self.histograms.lock().entry(name.to_owned()).or_default())
+        lookup(&self.histograms, name)
     }
 
     /// A deterministic, serializable copy of every registered metric,
@@ -285,6 +285,18 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
+}
+
+/// The metric named `name` in `map`, registering a default one on first
+/// use. Only that first registration allocates the key: every later
+/// lookup (each `obs::count`, `obs::gauge`, `obs::observe` under a
+/// collector) borrows `name`.
+fn lookup<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock();
+    if let Some(metric) = map.get(name) {
+        return Arc::clone(metric);
+    }
+    Arc::clone(map.entry(name.to_owned()).or_default())
 }
 
 /// A serializable point-in-time copy of a [`MetricsRegistry`].
@@ -465,6 +477,31 @@ mod tests {
         assert!((merged.gauges["spend_usd"] - 1.5).abs() < 1e-12);
         assert_eq!(merged.histograms["latency"].count, 2);
         assert_eq!(merged.histograms["latency"].max, 1000);
+    }
+
+    #[test]
+    fn repeated_lookups_return_the_registered_handle() {
+        let registry = MetricsRegistry::new();
+        registry.counter("runs").add(2);
+        registry.gauge("world.billed_usd").set(1.5);
+        registry.histogram("latency").record(10);
+        let before = registry.snapshot();
+        assert!(Arc::ptr_eq(
+            &registry.counter("runs"),
+            &registry.counter("runs")
+        ));
+        assert!(Arc::ptr_eq(
+            &registry.gauge("world.billed_usd"),
+            &registry.gauge("world.billed_usd")
+        ));
+        assert!(Arc::ptr_eq(
+            &registry.histogram("latency"),
+            &registry.histogram("latency")
+        ));
+        assert_eq!(registry.snapshot(), before);
+        // Updates through a looked-up handle reach the registered metric.
+        registry.counter("runs").add(1);
+        assert_eq!(registry.snapshot().counters["runs"], 3);
     }
 
     #[test]

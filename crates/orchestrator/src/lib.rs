@@ -44,6 +44,7 @@ pub mod config;
 pub mod demand;
 pub mod engine;
 pub mod error;
+mod instances;
 pub mod occupancy;
 pub mod placement;
 pub mod platform;

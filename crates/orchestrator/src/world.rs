@@ -30,6 +30,7 @@ use crate::config::RegionConfig;
 use crate::demand::DemandWindow;
 use crate::engine::{CapacityIndex, Engine, OptimizedEngine};
 use crate::error::{GuestError, LaunchError};
+use crate::instances::InstanceRegistry;
 use crate::occupancy::Occupancy;
 use crate::placement::PlacementPlan;
 use crate::platform::{AnyPlatformPolicy, PlatformPolicy};
@@ -105,9 +106,10 @@ pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatform
     accounts: BTreeMap<AccountId, Account>,
     services: BTreeMap<ServiceId, Service>,
     demand: BTreeMap<ServiceId, DemandWindow>,
-    /// Keyed by id in a `BTreeMap` so every whole-fleet iteration
-    /// (billing sums, bulk terminations) runs in one deterministic order.
-    instances: BTreeMap<InstanceId, ContainerInstance>,
+    /// Every instance ever created, terminated ones included, indexed by
+    /// id; whole-fleet iteration (billing sums) runs in ascending id
+    /// order. The next instance takes the next id.
+    instances: InstanceRegistry,
     /// Idle instances per service, most recently idled first (ties broken
     /// by ascending id) — the warm-reuse order of `launch`.
     idle_index: BTreeMap<ServiceId, BTreeSet<(Reverse<SimTime>, InstanceId)>>,
@@ -118,7 +120,6 @@ pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatform
     rng: SimRng,
     next_account: u32,
     next_service: u32,
-    next_instance: u32,
     instance_churn: bool,
     host_churn_mean: Option<SimDuration>,
 }
@@ -153,7 +154,6 @@ impl<E: Engine, P: PlatformPolicy<E>> Clone for World<E, P> {
             rng: self.rng.clone(),
             next_account: self.next_account,
             next_service: self.next_service,
-            next_instance: self.next_instance,
             instance_churn: self.instance_churn,
             host_churn_mean: self.host_churn_mean,
         }
@@ -256,7 +256,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             accounts: BTreeMap::new(),
             services: BTreeMap::new(),
             demand: BTreeMap::new(),
-            instances: BTreeMap::new(),
+            instances: InstanceRegistry::default(),
             idle_index: BTreeMap::new(),
             active_index: BTreeMap::new(),
             events: EventQueue::new(),
@@ -264,7 +264,6 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             rng,
             next_account: 0,
             next_service: 0,
-            next_instance: 0,
             instance_churn: false,
             host_churn_mean: None,
             region,
@@ -421,7 +420,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
 
     /// Reactivates a warm idle instance (idle index → active index).
     fn reactivate_instance(&mut self, id: InstanceId, now: SimTime) {
-        let instance = self.instances.get_mut(&id).expect("warm instance exists");
+        let instance = self.instances.get_mut(id).expect("warm instance exists");
         let service = instance.service();
         let idle_since = instance.idle_since().expect("idle instance");
         instance.reactivate(now);
@@ -448,21 +447,17 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let mut ids = Vec::with_capacity(plan.len());
         let mut per_host: BTreeMap<HostId, usize> = BTreeMap::new();
         for &host_id in plan {
-            let id = InstanceId::from_raw(self.next_instance);
-            self.next_instance += 1;
+            let id = self.instances.next_id();
             self.occupancy.admit(host_id, id);
             let host = self.dc.host(host_id);
             let sandbox = match spec.generation {
-                Generation::Gen1 => {
-                    let model = self.dc.model_of(host_id).clone();
-                    Sandbox::Gen1(Gen1Sandbox::with_mitigation(
-                        host,
-                        &model,
-                        mitigation,
-                        now,
-                        &mut self.rng,
-                    ))
-                }
+                Generation::Gen1 => Sandbox::Gen1(Gen1Sandbox::with_mitigation(
+                    host,
+                    self.dc.model_of(host_id),
+                    mitigation,
+                    now,
+                    &mut self.rng,
+                )),
                 Generation::Gen2 => Sandbox::Gen2(Gen2Sandbox::with_mitigation(
                     host,
                     mitigation,
@@ -470,19 +465,16 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                     &mut self.rng,
                 )),
             };
-            self.instances.insert(
+            self.instances.push(ContainerInstance::new(
                 id,
-                ContainerInstance::new(
-                    id,
-                    service,
-                    owner,
-                    host_id,
-                    spec.size,
-                    spec.generation,
-                    sandbox,
-                    now,
-                ),
-            );
+                service,
+                owner,
+                host_id,
+                spec.size,
+                spec.generation,
+                sandbox,
+                now,
+            ));
             *per_host.entry(host_id).or_default() += 1;
             ids.push(id);
         }
@@ -583,7 +575,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     }
 
     fn disconnect_instance(&mut self, id: InstanceId, now: SimTime) {
-        let instance = self.instances.get_mut(&id).expect("instance exists");
+        let instance = self.instances.get_mut(id).expect("instance exists");
         let service = instance.service();
         let period = instance.go_idle(now);
         let size = instance.size();
@@ -666,7 +658,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 instance,
                 idle_since,
             } => {
-                let Some(i) = self.instances.get(&instance) else {
+                let Some(i) = self.instances.get(instance) else {
                     return;
                 };
                 if i.state() == InstanceState::Idle && i.idle_since() == Some(idle_since) {
@@ -679,7 +671,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 // connection is its signal to reconnect (a fresh `launch`),
                 // which may land on a different host — exactly how the
                 // paper's week-long tracking loses fingerprint histories.
-                let Some(i) = self.instances.get(&instance) else {
+                let Some(i) = self.instances.get(instance) else {
                     return;
                 };
                 if i.is_alive() {
@@ -698,7 +690,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 let displaced = self.occupancy.displace(host);
                 obs::count("world.instances_displaced", displaced.len() as u64);
                 for &id in &displaced {
-                    let instance = self.instances.get_mut(&id).expect("resident exists");
+                    let instance = self.instances.get_mut(id).expect("resident exists");
                     let service = instance.service();
                     let idle_since = (instance.state() == InstanceState::Idle)
                         .then(|| instance.idle_since())
@@ -726,7 +718,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
 
     fn terminate_instance(&mut self, id: InstanceId) {
         let now = self.clock.now();
-        let instance = self.instances.get_mut(&id).expect("instance exists");
+        let instance = self.instances.get_mut(id).expect("instance exists");
         let host = instance.host();
         let service = instance.service();
         let idle_since = (instance.state() == InstanceState::Idle)
@@ -775,7 +767,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     ///
     /// Panics if the id was never created.
     pub fn kill_instance(&mut self, id: InstanceId) {
-        if self.instances[&id].is_alive() {
+        if self.instances[id].is_alive() {
             self.terminate_instance(id);
         }
     }
@@ -846,7 +838,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let now = self.clock.now();
         let instance = self
             .instances
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or(GuestError::UnknownInstance(id))?;
         if !instance.is_alive() {
             return Err(GuestError::Terminated(id));
@@ -881,7 +873,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         for &id in participants {
             let instance = self
                 .instances
-                .get(&id)
+                .get(id)
                 .ok_or(GuestError::UnknownInstance(id))?;
             if !instance.is_alive() {
                 return Err(GuestError::Terminated(id));
@@ -891,7 +883,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let observations = participants
             .iter()
             .map(|&id| {
-                let host = self.instances[&id].host();
+                let host = self.instances[id].host();
                 let others = per_host[&host] - 1;
                 self.dc
                     .host(host)
@@ -925,7 +917,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         obs::count("world.rng_observations", 1);
         let obs_instance = self
             .instances
-            .get(&observer)
+            .get(observer)
             .ok_or(GuestError::UnknownInstance(observer))?;
         if !obs_instance.is_alive() {
             return Err(GuestError::Terminated(observer));
@@ -937,7 +929,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 id != observer
                     && self
                         .instances
-                        .get(&id)
+                        .get(id)
                         .is_some_and(|i| i.is_alive() && i.host() == host)
             })
             .count();
@@ -986,7 +978,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         for &id in participants {
             let instance = self
                 .instances
-                .get(&id)
+                .get(id)
                 .ok_or(GuestError::UnknownInstance(id))?;
             if !instance.is_alive() {
                 return Err(GuestError::Terminated(id));
@@ -996,7 +988,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let observations = participants
             .iter()
             .map(|&id| {
-                let host = self.instances[&id].host();
+                let host = self.instances[id].host();
                 let others = per_host[&host] - 1;
                 profile.observe_lock_rounds(others, rounds, &mut self.rng)
             })
@@ -1021,14 +1013,14 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         for id in [a, b] {
             let instance = self
                 .instances
-                .get(&id)
+                .get(id)
                 .ok_or(GuestError::UnknownInstance(id))?;
             if !instance.is_alive() {
                 return Err(GuestError::Terminated(id));
             }
         }
-        let host_a = self.instances[&a].host();
-        let truth = host_a == self.instances[&b].host();
+        let host_a = self.instances[a].host();
+        let truth = host_a == self.instances[b].host();
         let bus = self.dc.host(host_a).memory_bus();
         let verdict = bus.pairwise_test(truth, &mut self.rng);
         obs::count("world.membus_tests", 1);
@@ -1061,13 +1053,13 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         &self.occupancy
     }
 
-    /// A live instance record.
+    /// An instance record, live or terminated.
     ///
     /// # Panics
     ///
     /// Panics if the id is unknown.
     pub fn instance(&self, id: InstanceId) -> &ContainerInstance {
-        &self.instances[&id]
+        &self.instances[id]
     }
 
     /// **Ground truth**: the host an instance runs (or ran) on. Real
@@ -1077,7 +1069,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     ///
     /// Panics if the id is unknown.
     pub fn host_of(&self, id: InstanceId) -> HostId {
-        self.instances[&id].host()
+        self.instances[id].host()
     }
 
     /// **Ground truth**: whether two instances share a host.
@@ -1132,7 +1124,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let rates = self.region.rates;
         let open: Cost = self
             .instances
-            .values()
+            .iter()
             .filter_map(|i| {
                 i.open_active_period(now)
                     .map(|period| rates.instance_cost(i.size(), period))
@@ -1147,7 +1139,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let now = self.clock.now();
         let rates = self.region.rates;
         self.instances
-            .values()
+            .iter()
             .filter(|i| i.owner() == account)
             .map(|i| rates.instance_cost(i.size(), i.billed_active_time(now)))
             .sum()
@@ -1585,6 +1577,47 @@ mod tests {
         // Scheduling order is total across singles and batches: seq
         // numbers are handed out in call order (see EventQueue tests for
         // the pure-queue property).
+    }
+
+    #[test]
+    fn a_branch_of_a_multi_chunk_world_leaves_the_parent_alone() {
+        let (mut world, account, service) = small_world(22);
+        // Three launch/kill rounds register 3,000 instances, more than one
+        // registry chunk; the last round's 1,000 stay live.
+        for round in 0..3 {
+            world.launch(service, 1_000).expect("within caps");
+            world.advance(SimDuration::from_secs(30));
+            if round < 2 {
+                world.kill_all(service);
+            }
+        }
+        let records = |world: &World| -> Vec<String> {
+            (0..3_000)
+                .map(|raw| format!("{:?}", world.instance(InstanceId::from_raw(raw))))
+                .collect()
+        };
+        let (instances, billed, alive) = (
+            records(&world),
+            world.billed_for(account),
+            world.alive_instances_of(service),
+        );
+        assert_eq!(alive.len(), 1_000);
+
+        let mut branch = world.branch();
+        branch.kill_all(service);
+        branch.advance(SimDuration::from_secs(60));
+        let relaunch = branch.launch(service, 500).expect("within caps");
+        assert_eq!(relaunch.instances()[0], InstanceId::from_raw(3_000));
+        branch.advance(SimDuration::from_secs(30));
+        assert_eq!(branch.alive_instances_of(service), relaunch.instances());
+        assert_ne!(branch.billed_for(account), billed);
+
+        assert_eq!(records(&world), instances);
+        assert_eq!(world.billed_for(account), billed);
+        assert_eq!(world.alive_instances_of(service), alive);
+        // The parent still hands out the ids the branch took.
+        let launch = world.launch(service, 1).expect("within caps");
+        assert_eq!(launch.instances()[0], InstanceId::from_raw(3_000));
     }
 
     #[test]
