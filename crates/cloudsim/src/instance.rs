@@ -13,7 +13,12 @@
 //! Active time is billed; idle time is not (which is why the paper's attack
 //! is cheap). On termination the orchestrator delivers SIGTERM, which the
 //! paper's probe catches to timestamp terminations (Figure 6).
+//!
+//! An instance's [`Sandbox`] is built the first time guest code runs in it,
+//! from the private clock stream forked for it at creation: most instances
+//! an attack launches are killed without ever running a probe.
 
+use eaao_simcore::rng::SimRng;
 use eaao_simcore::time::{SimDuration, SimTime};
 
 use crate::ids::{AccountId, HostId, InstanceId, ServiceId};
@@ -40,7 +45,11 @@ pub struct ContainerInstance {
     host: HostId,
     size: ContainerSize,
     generation: Generation,
-    sandbox: Sandbox,
+    /// The sandbox's clock stream, forked at creation
+    /// ([`Sandbox::fork_clock_stream`]).
+    clock_stream: SimRng,
+    /// The sandbox, once guest code has run.
+    sandbox: Option<Box<Sandbox>>,
     state: InstanceState,
     created_at: SimTime,
     /// When the current activity period started (if active).
@@ -55,7 +64,9 @@ pub struct ContainerInstance {
 
 impl ContainerInstance {
     /// Creates an instance in the `Active` state (it starts by serving the
-    /// request that triggered its creation).
+    /// request that triggered its creation). `clock_stream` is the
+    /// sandbox's clock stream, forked off the world's RNG by
+    /// [`Sandbox::fork_clock_stream`].
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the record
     pub fn new(
         id: InstanceId,
@@ -64,7 +75,7 @@ impl ContainerInstance {
         host: HostId,
         size: ContainerSize,
         generation: Generation,
-        sandbox: Sandbox,
+        clock_stream: SimRng,
         now: SimTime,
     ) -> Self {
         ContainerInstance {
@@ -74,7 +85,8 @@ impl ContainerInstance {
             host,
             size,
             generation,
-            sandbox,
+            clock_stream,
+            sandbox: None,
             state: InstanceState::Active,
             created_at: now,
             active_since: Some(now),
@@ -140,23 +152,23 @@ impl ContainerInstance {
     }
 
     /// Mutable access to the sandbox, for running attacker code inside.
+    /// The first call builds it: `build` receives the instance's clock
+    /// stream and must build the sandbox for the host and creation time
+    /// of this instance.
     ///
     /// # Panics
     ///
     /// Panics if the instance is terminated — there is no container to run
     /// code in.
-    pub fn sandbox_mut(&mut self) -> &mut Sandbox {
+    pub fn sandbox_or_build(&mut self, build: impl FnOnce(SimRng) -> Sandbox) -> &mut Sandbox {
         assert!(
             self.is_alive(),
             "instance {} is terminated; cannot execute code",
             self.id
         );
-        &mut self.sandbox
-    }
-
-    /// Shared access to the sandbox.
-    pub fn sandbox(&self) -> &Sandbox {
-        &self.sandbox
+        let clock_stream = &self.clock_stream;
+        self.sandbox
+            .get_or_insert_with(|| Box::new(build(clock_stream.clone())))
     }
 
     /// Total billed active time so far (including the open period at `now`).
@@ -249,33 +261,37 @@ impl ContainerInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::CpuModelId;
+    use crate::cpu::{CacheGeometry, CpuModel, CpuModelId};
     use crate::host::{Host, HostGenConfig};
-    use crate::sandbox::Gen1Sandbox;
-    use eaao_simcore::rng::SimRng;
+    use crate::mitigation::TscMitigation;
+    use crate::sandbox::{Gen1Sandbox, GuestEnv};
     use eaao_tsc::freq::TscFrequency;
 
-    fn test_instance(now: SimTime) -> ContainerInstance {
-        let mut rng = SimRng::seed_from(1);
-        let host = Host::generate(
+    fn test_host() -> Host {
+        Host::generate(
             HostId::from_raw(0),
             CpuModelId::from_index(0),
             TscFrequency::from_ghz(2.0),
             1.0,
             SimTime::ZERO,
             &HostGenConfig::default(),
-            &mut rng,
-        );
-        let model = crate::cpu::CpuModel::new(
+            &mut SimRng::seed_from(1),
+        )
+    }
+
+    fn test_model() -> CpuModel {
+        CpuModel::new(
             "Intel(R) Xeon(R) CPU @ 2.00GHz",
             TscFrequency::from_ghz(2.0),
-            crate::cpu::CacheGeometry {
+            CacheGeometry {
                 l1d_kib: 32,
                 l2_kib: 1_024,
                 l3_kib: 39 * 1_024,
             },
-        );
-        let sandbox = Sandbox::Gen1(Gen1Sandbox::for_instance(&host, &model, now, &mut rng));
+        )
+    }
+
+    fn test_instance(now: SimTime) -> ContainerInstance {
         ContainerInstance::new(
             InstanceId::from_raw(1),
             ServiceId::from_raw(2),
@@ -283,9 +299,23 @@ mod tests {
             HostId::from_raw(0),
             ContainerSize::Small,
             Generation::Gen1,
-            sandbox,
+            Sandbox::fork_clock_stream(Generation::Gen1, &mut SimRng::seed_from(2)),
             now,
         )
+    }
+
+    /// Builds the Gen 1 sandbox of [`test_instance`]'s host.
+    fn build_on_test_host(now: SimTime) -> impl FnOnce(SimRng) -> Sandbox {
+        move |clock_stream| {
+            Sandbox::from_clock_stream(
+                Generation::Gen1,
+                &test_host(),
+                &test_model(),
+                TscMitigation::None,
+                now,
+                clock_stream,
+            )
+        }
     }
 
     #[test]
@@ -380,12 +410,22 @@ mod tests {
     fn sandbox_of_terminated_panics() {
         let mut i = test_instance(SimTime::ZERO);
         i.terminate(SimTime::from_secs(1));
-        let _ = i.sandbox_mut();
+        let _ = i.sandbox_or_build(build_on_test_host(SimTime::ZERO));
     }
 
     #[test]
-    fn sandbox_shared_access() {
-        let i = test_instance(SimTime::ZERO);
-        assert!(matches!(i.sandbox(), Sandbox::Gen1(_)));
+    fn the_sandbox_is_built_once_from_the_clock_stream() {
+        let t0 = SimTime::from_secs(5);
+        let mut i = test_instance(t0);
+        let mut eager =
+            Gen1Sandbox::for_instance(&test_host(), &test_model(), t0, &mut SimRng::seed_from(2));
+        let later = SimTime::from_secs(9);
+        let first = i.sandbox_or_build(build_on_test_host(t0));
+        assert!(matches!(first, Sandbox::Gen1(_)));
+        assert_eq!(first.clock_gettime(later), eager.clock_gettime(later));
+        // The second call reuses the built sandbox: its clock has moved on.
+        let second = i.sandbox_or_build(|_| panic!("built twice"));
+        assert_eq!(second.clock_gettime(later), eager.clock_gettime(later));
+        assert_eq!(second.proc_uptime(later), SimDuration::from_secs(4));
     }
 }

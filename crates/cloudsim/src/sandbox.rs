@@ -23,9 +23,10 @@ use eaao_tsc::counter::InvariantTsc;
 use eaao_tsc::offset::OffsetTsc;
 use eaao_tsc::refine::RefinedTscFrequency;
 
-use crate::cpu::CpuidInfo;
+use crate::cpu::{CpuModel, CpuidInfo};
 use crate::host::Host;
 use crate::mitigation::TscMitigation;
+use crate::service::Generation;
 
 /// The guest-visible model string in the Gen 2 environment, where `cpuid`
 /// is trapped and the host model concealed.
@@ -95,22 +96,31 @@ impl Gen1Sandbox {
     ///
     /// `model` must be the host's CPU model record (from the owning
     /// catalog); `rng` seeds the instance's private noise stream.
-    pub fn for_instance(
-        host: &Host,
-        model: &crate::cpu::CpuModel,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Self {
+    pub fn for_instance(host: &Host, model: &CpuModel, now: SimTime, rng: &mut SimRng) -> Self {
         Gen1Sandbox::with_mitigation(host, model, TscMitigation::None, now, rng)
     }
 
-    /// Builds the sandbox under a platform TSC mitigation (Section 6).
+    /// Builds the sandbox under a platform TSC mitigation (Section 6),
+    /// forking its clock stream off `rng`.
     pub fn with_mitigation(
         host: &Host,
-        model: &crate::cpu::CpuModel,
+        model: &CpuModel,
         mitigation: TscMitigation,
         now: SimTime,
         rng: &mut SimRng,
+    ) -> Self {
+        let clock_stream = Sandbox::fork_clock_stream(Generation::Gen1, rng);
+        Gen1Sandbox::from_clock_stream(host, model, mitigation, now, clock_stream)
+    }
+
+    /// Builds the sandbox from an already forked clock stream (see
+    /// [`Sandbox::fork_clock_stream`]).
+    pub fn from_clock_stream(
+        host: &Host,
+        model: &CpuModel,
+        mitigation: TscMitigation,
+        now: SimTime,
+        clock_stream: SimRng,
     ) -> Self {
         Gen1Sandbox {
             // Not virtualized: the guest sees the hardware's cpuid surface.
@@ -118,7 +128,7 @@ impl Gen1Sandbox {
             tsc: host.tsc(),
             emulated_tsc: InvariantTsc::new(now, host.nominal_frequency()),
             mitigation,
-            clock: SyscallClock::new(host.noise_profile(), rng.fork_labeled("gen1-clock")),
+            clock: SyscallClock::new(host.noise_profile(), clock_stream),
             started_at: now,
         }
     }
@@ -186,12 +196,25 @@ impl Gen2Sandbox {
         Gen2Sandbox::with_mitigation(host, TscMitigation::None, now, rng)
     }
 
-    /// Builds the sandbox under a platform TSC mitigation (Section 6).
+    /// Builds the sandbox under a platform TSC mitigation (Section 6),
+    /// forking its clock stream off `rng`.
     pub fn with_mitigation(
         host: &Host,
         mitigation: TscMitigation,
         now: SimTime,
         rng: &mut SimRng,
+    ) -> Self {
+        let clock_stream = Sandbox::fork_clock_stream(Generation::Gen2, rng);
+        Gen2Sandbox::from_clock_stream(host, mitigation, now, clock_stream)
+    }
+
+    /// Builds the sandbox from an already forked clock stream (see
+    /// [`Sandbox::fork_clock_stream`]).
+    pub fn from_clock_stream(
+        host: &Host,
+        mitigation: TscMitigation,
+        now: SimTime,
+        clock_stream: SimRng,
     ) -> Self {
         let nominal_hz = host.nominal_frequency().as_hz();
         Gen2Sandbox {
@@ -200,7 +223,7 @@ impl Gen2Sandbox {
             refined: host.refined_frequency(),
             nominal: RefinedTscFrequency::from_khz((nominal_hz / 1_000.0).round() as u64),
             mitigation,
-            clock: SyscallClock::new(host.noise_profile(), rng.fork_labeled("gen2-clock")),
+            clock: SyscallClock::new(host.noise_profile(), clock_stream),
             started_at: now,
         }
     }
@@ -264,6 +287,46 @@ pub enum Sandbox {
     Gen1(Gen1Sandbox),
     /// Lightweight VM.
     Gen2(Gen2Sandbox),
+}
+
+impl Sandbox {
+    /// Forks the private stream a `generation` sandbox's syscall clock
+    /// draws its noise from. This is the only draw building a sandbox
+    /// makes from `rng`.
+    pub fn fork_clock_stream(generation: Generation, rng: &mut SimRng) -> SimRng {
+        rng.fork_labeled(match generation {
+            Generation::Gen1 => "gen1-clock",
+            Generation::Gen2 => "gen2-clock",
+        })
+    }
+
+    /// Builds the `generation` sandbox of an instance started on `host`
+    /// at `now`, from its forked clock stream. `model` is the host's CPU
+    /// model record; only Gen 1 exposes it.
+    pub fn from_clock_stream(
+        generation: Generation,
+        host: &Host,
+        model: &CpuModel,
+        mitigation: TscMitigation,
+        now: SimTime,
+        clock_stream: SimRng,
+    ) -> Self {
+        match generation {
+            Generation::Gen1 => Sandbox::Gen1(Gen1Sandbox::from_clock_stream(
+                host,
+                model,
+                mitigation,
+                now,
+                clock_stream,
+            )),
+            Generation::Gen2 => Sandbox::Gen2(Gen2Sandbox::from_clock_stream(
+                host,
+                mitigation,
+                now,
+                clock_stream,
+            )),
+        }
+    }
 }
 
 impl GuestEnv for Sandbox {

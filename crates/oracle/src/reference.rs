@@ -140,7 +140,7 @@ impl CapacityIndex for ScanCapacity {
         }
     }
 
-    fn on_admit_n(&mut self, host: HostId, _n: usize, occupancy: &Occupancy) {
+    fn on_admit(&mut self, host: HostId, occupancy: &Occupancy) {
         assert!(
             occupancy.count(host) <= self.capacity,
             "host {host} is over capacity"
@@ -256,10 +256,10 @@ mod tests {
         let h = HostId::from_raw(2);
         for i in 0..3 {
             occ.admit(h, InstanceId::from_raw(i));
+            fast.on_admit(h, &occ);
+            slow.on_admit(h, &occ);
+            assert_eq!(fast.total_free(&occ), slow.total_free(&occ));
         }
-        fast.on_admit_n(h, 3, &occ);
-        slow.on_admit_n(h, 3, &occ);
-        assert_eq!(fast.total_free(&occ), slow.total_free(&occ));
 
         occ.evict(h, InstanceId::from_raw(1));
         fast.on_evict(h, &occ);
@@ -283,8 +283,8 @@ mod tests {
         let h = HostId::from_raw(1);
         for i in 0..3 {
             occ.admit(h, InstanceId::from_raw(i));
+            slow.on_admit(h, &occ);
         }
-        slow.on_admit_n(h, 3, &occ);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl Engine for OptimizedEngine {
 /// Free-capacity bookkeeping for one data center.
 ///
 /// `World` notifies the index on every residency change
-/// ([`on_admit_n`](CapacityIndex::on_admit_n),
+/// ([`on_admit`](CapacityIndex::on_admit),
 /// [`on_evict`](CapacityIndex::on_evict),
 /// [`on_host_reboot`](CapacityIndex::on_host_reboot)) after recording it
 /// in its [`Occupancy`], which every method receives as the residency
@@ -106,7 +106,7 @@ impl Engine for OptimizedEngine {
 /// tentative slot consumption on top of the committed state,
 /// [`plan_take`]/[`plan_spill_pick`] allocate against the overlay, and
 /// [`end_plan`] discards it (the real admissions follow through
-/// `on_admit_n` once the plan is committed).
+/// `on_admit`, one per instance, once the plan is committed).
 ///
 /// The spill pick is popularity-weighted over hosts with free slots left
 /// in the overlayed view, and must follow the one-draw protocol of
@@ -127,8 +127,8 @@ pub trait CapacityIndex: fmt::Debug {
     where
         Self: Sized;
 
-    /// `n` instances were admitted to `host`.
-    fn on_admit_n(&mut self, host: HostId, n: usize, occupancy: &Occupancy);
+    /// One instance was admitted to `host`.
+    fn on_admit(&mut self, host: HostId, occupancy: &Occupancy);
 
     /// One instance was evicted from `host`.
     fn on_evict(&mut self, host: HostId, occupancy: &Occupancy);
@@ -280,15 +280,15 @@ impl CapacityIndex for IncrementalCapacity {
     }
 
     // tidy:allow(panic-reachability) -- `h` and its cell come from a HostId of the same fleet these lanes were sized to at construction.
-    fn on_admit_n(&mut self, host: HostId, n: usize, occupancy: &Occupancy) {
+    fn on_admit(&mut self, host: HostId, occupancy: &Occupancy) {
         let count = occupancy.count(host);
         assert!(
             count <= self.capacity as usize,
             "admitting past capacity on host {host}"
         );
         let h = host.as_usize();
-        self.total_free -= n as u64;
-        self.cell_free[self.cell_of_host[h] as usize] -= n as u64;
+        self.total_free -= 1;
+        self.cell_free[self.cell_of_host[h] as usize] -= 1;
         if count == self.capacity as usize {
             self.avail.set_weight(h, 0);
         }
@@ -402,10 +402,11 @@ mod tests {
 
         let h = HostId::from_raw(5);
         for i in 0..4 {
+            assert!(cap.avail.weight(5) > 0, "a host with room is sampled");
             occ.admit(h, InstanceId::from_raw(i));
+            cap.on_admit(h, &occ);
+            assert_mirrors(&cap, &dc, &occ);
         }
-        cap.on_admit_n(h, 4, &occ);
-        assert_mirrors(&cap, &dc, &occ);
         assert_eq!(cap.avail.weight(5), 0, "full host drops out of sampling");
 
         occ.evict(h, InstanceId::from_raw(0));
@@ -428,8 +429,8 @@ mod tests {
         let h = HostId::from_raw(1);
         for i in 0..3 {
             occ.admit(h, InstanceId::from_raw(i));
+            cap.on_admit(h, &occ);
         }
-        cap.on_admit_n(h, 3, &occ);
     }
 
     #[test]

@@ -115,10 +115,8 @@ impl Index<InstanceId> for InstanceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eaao_cloudsim::datacenter::DataCenter;
-    use eaao_cloudsim::host::HostGenConfig;
     use eaao_cloudsim::ids::{AccountId, HostId, ServiceId};
-    use eaao_cloudsim::sandbox::{Gen2Sandbox, Sandbox};
+    use eaao_cloudsim::sandbox::Sandbox;
     use eaao_cloudsim::service::{ContainerSize, Generation};
     use eaao_simcore::rng::SimRng;
     use eaao_simcore::time::SimTime;
@@ -126,19 +124,16 @@ mod tests {
     /// Registers `n` more instances; instance `i` runs on host `i % 7`.
     fn push_n(registry: &mut InstanceRegistry, n: usize) {
         let mut rng = SimRng::seed_from(1);
-        let dc = DataCenter::generate("test", 7, &HostGenConfig::default(), 1.0, &mut rng);
         for _ in 0..n {
             let id = registry.next_id();
-            let host = HostId::from_raw((id.as_usize() % 7) as u32);
-            let sandbox = Gen2Sandbox::for_instance(dc.host(host), SimTime::ZERO, &mut rng);
             registry.push(ContainerInstance::new(
                 id,
                 ServiceId::from_raw(0),
                 AccountId::from_raw(0),
-                host,
+                HostId::from_raw((id.as_usize() % 7) as u32),
                 ContainerSize::Small,
                 Generation::Gen2,
-                Sandbox::Gen2(sandbox),
+                Sandbox::fork_clock_stream(Generation::Gen2, &mut rng),
                 SimTime::ZERO,
             ));
         }

@@ -16,8 +16,8 @@ use eaao_cloudsim::datacenter::DataCenter;
 use eaao_cloudsim::ids::{AccountId, HostId, InstanceId, ServiceId};
 use eaao_cloudsim::instance::{ContainerInstance, InstanceState};
 use eaao_cloudsim::pricing::{BillingMeter, Cost};
-use eaao_cloudsim::sandbox::{Gen1Sandbox, Gen2Sandbox, Sandbox};
-use eaao_cloudsim::service::{Generation, Service, ServiceSpec};
+use eaao_cloudsim::sandbox::Sandbox;
+use eaao_cloudsim::service::{Service, ServiceSpec};
 use eaao_obs as obs;
 use eaao_simcore::clock::SimClock;
 use eaao_simcore::dist::{Exponential, Sample};
@@ -431,10 +431,10 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         self.active_index.entry(service).or_default().insert(id);
     }
 
-    /// Creates one instance per plan entry — the batched path. Per-host
-    /// capacity-index updates are coalesced (one update per distinct host
-    /// instead of one per instance) and churn-restart events are scheduled
-    /// in a single batch.
+    /// Creates one instance per plan entry — the batched path. Each
+    /// instance forks its sandbox's clock stream off the world RNG, and
+    /// [`with_guest`](World::with_guest) builds the sandbox from it on
+    /// first use. Churn-restart events are scheduled in a single batch.
     fn create_instances(
         &mut self,
         service: ServiceId,
@@ -443,48 +443,36 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         spec: ServiceSpec,
         now: SimTime,
     ) -> Vec<InstanceId> {
-        let mitigation = self.region.tsc_mitigation;
         let mut ids = Vec::with_capacity(plan.len());
-        let mut per_host: BTreeMap<HostId, usize> = BTreeMap::new();
-        for &host_id in plan {
+        for &host in plan {
             let id = self.instances.next_id();
-            self.occupancy.admit(host_id, id);
-            let host = self.dc.host(host_id);
-            let sandbox = match spec.generation {
-                Generation::Gen1 => Sandbox::Gen1(Gen1Sandbox::with_mitigation(
-                    host,
-                    self.dc.model_of(host_id),
-                    mitigation,
-                    now,
-                    &mut self.rng,
-                )),
-                Generation::Gen2 => Sandbox::Gen2(Gen2Sandbox::with_mitigation(
-                    host,
-                    mitigation,
-                    now,
-                    &mut self.rng,
-                )),
-            };
+            self.occupancy.admit(host, id);
+            self.capacity.on_admit(host, &self.occupancy);
+            // Nothing reads the host here, but touching it keeps this
+            // world's shard touch record, and so the
+            // `cloudsim.hosts_generated` count campaign records carry,
+            // independent of which instances ever run guest code.
+            self.dc.host(host);
+            let clock_stream = Sandbox::fork_clock_stream(spec.generation, &mut self.rng);
             self.instances.push(ContainerInstance::new(
                 id,
                 service,
                 owner,
-                host_id,
+                host,
                 spec.size,
                 spec.generation,
-                sandbox,
+                clock_stream,
                 now,
             ));
-            *per_host.entry(host_id).or_default() += 1;
             ids.push(id);
         }
-        for (&host, &n) in &per_host {
-            self.capacity.on_admit_n(host, n, &self.occupancy);
+        let active = self.active_index.entry(service).or_default();
+        if active.is_empty() {
+            // Fresh ids ascend, so the set is built in one pass.
+            *active = ids.iter().copied().collect();
+        } else {
+            active.extend(ids.iter().copied());
         }
-        self.active_index
-            .entry(service)
-            .or_default()
-            .extend(ids.iter().copied());
         if self.instance_churn {
             let mean = self.region.placement.instance_restart_mean.as_secs_f64();
             let restarts: Vec<(SimTime, WorldEvent)> = ids
@@ -717,6 +705,14 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     }
 
     fn terminate_instance(&mut self, id: InstanceId) {
+        let (service, idle_since) = self.retire(id);
+        self.unindex(service, id, idle_since);
+    }
+
+    /// Terminates a live instance, bills its open active period and frees
+    /// its host slot, leaving the service indexes to the caller. Returns
+    /// its service and, if it was idle, since when.
+    fn retire(&mut self, id: InstanceId) -> (ServiceId, Option<SimTime>) {
         let now = self.clock.now();
         let instance = self.instances.get_mut(id).expect("instance exists");
         let host = instance.host();
@@ -730,9 +726,9 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             self.billing.record(size, period);
             self.note_spend();
         }
-        self.unindex(service, id, idle_since);
         self.occupancy.evict(host, id);
         self.capacity.on_evict(host, &self.occupancy);
+        (service, idle_since)
     }
 
     /// Drops a just-terminated instance from the service indexes.
@@ -775,10 +771,20 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// Terminates every live instance of `service` immediately (the
     /// attacker deleting a revision, used between strategy launches).
     pub fn kill_all(&mut self, service: ServiceId) {
-        // Ascending-id order so bulk termination (and its billing
-        // records) is deterministic.
-        for id in self.alive_instances_of(service) {
-            self.terminate_instance(id);
+        // The service's index entries go at once, and its instances are
+        // terminated in ascending-id order so bulk termination (and its
+        // billing records) is deterministic.
+        let mut doomed: Vec<InstanceId> = self
+            .active_index
+            .remove(&service)
+            .map(|set| set.into_iter().collect())
+            .unwrap_or_default();
+        if let Some(idle) = self.idle_index.remove(&service) {
+            doomed.extend(idle.into_iter().map(|(_, id)| id));
+        }
+        doomed.sort_unstable();
+        for id in doomed {
+            self.retire(id);
         }
     }
 
@@ -827,6 +833,12 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// Runs `body` against the sandbox of a live instance, passing the
     /// current simulation time.
     ///
+    /// The first call on an instance builds its sandbox, from the clock
+    /// stream forked for it at creation, its host's record and CPU model,
+    /// the region's TSC mitigation and its creation time. The host cannot
+    /// have changed since the instance was created: a host reboot
+    /// terminates every instance on it.
+    ///
     /// # Errors
     ///
     /// Returns a [`GuestError`] if the instance is unknown or terminated.
@@ -843,7 +855,23 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         if !instance.is_alive() {
             return Err(GuestError::Terminated(id));
         }
-        Ok(body(instance.sandbox_mut(), now))
+        let (dc, mitigation) = (&self.dc, self.region.tsc_mitigation);
+        let (host, generation, created_at) = (
+            instance.host(),
+            instance.generation(),
+            instance.created_at(),
+        );
+        let sandbox = instance.sandbox_or_build(|clock_stream| {
+            Sandbox::from_clock_stream(
+                generation,
+                dc.host(host),
+                dc.model_of(host),
+                mitigation,
+                created_at,
+                clock_stream,
+            )
+        });
+        Ok(body(sandbox, now))
     }
 
     /// Runs the RNG covert-channel test: all `participants` pressure their
@@ -1190,8 +1218,12 @@ mod tests {
 
     use super::*;
     use crate::config::RegionConfig;
+    use eaao_cloudsim::cpu::CpuidInfo;
+    use eaao_cloudsim::mitigation::TscMitigation;
     use eaao_cloudsim::rng_unit::is_positive;
-    use eaao_cloudsim::service::ContainerSize;
+    use eaao_cloudsim::sandbox::{Gen1Sandbox, Gen2Sandbox, GuestEnv};
+    use eaao_cloudsim::service::{ContainerSize, Generation};
+    use eaao_tsc::refine::RefinedTscFrequency;
 
     fn small_world(seed: u64) -> (World, AccountId, ServiceId) {
         let mut world = World::new(RegionConfig::us_west1().with_hosts(60), seed);
@@ -1618,6 +1650,135 @@ mod tests {
         // The parent still hands out the ids the branch took.
         let launch = world.launch(service, 1).expect("within caps");
         assert_eq!(launch.instances()[0], InstanceId::from_raw(3_000));
+    }
+
+    /// Everything guest code can read from a sandbox at `now`.
+    type GuestReadings = (
+        u64,
+        SimTime,
+        Option<RefinedTscFrequency>,
+        CpuidInfo,
+        SimDuration,
+        SimDuration,
+    );
+
+    fn read_guest(sandbox: &mut Sandbox, now: SimTime) -> GuestReadings {
+        (
+            sandbox.rdtsc(now),
+            sandbox.clock_gettime(now),
+            sandbox.tsc_khz(),
+            sandbox.cpuid_info(),
+            sandbox.proc_uptime(now),
+            sandbox.timer_read_cost(),
+        )
+    }
+
+    /// A world with one `generation` service under `mitigation`, its clock
+    /// moved past zero so that creation time shows in guest readings.
+    fn guest_world(generation: Generation, mitigation: TscMitigation) -> (World, ServiceId) {
+        let region = RegionConfig::us_west1()
+            .with_hosts(60)
+            .with_tsc_mitigation(mitigation);
+        let mut world = World::new(region, 23);
+        let account = world.create_account();
+        let service =
+            world.deploy_service(account, ServiceSpec::default().with_generation(generation));
+        world.advance(SimDuration::from_secs(7));
+        (world, service)
+    }
+
+    #[test]
+    fn a_sandbox_built_on_first_use_reads_like_one_built_at_creation() {
+        for generation in [Generation::Gen1, Generation::Gen2] {
+            for mitigation in [
+                TscMitigation::None,
+                TscMitigation::TrapAndEmulate,
+                TscMitigation::OffsetAndScale,
+            ] {
+                let (mut world, service) = guest_world(generation, mitigation);
+                let mut rng = world.rng.clone();
+                let launch = world.launch(service, 1).expect("within caps");
+                let id = launch.instances()[0];
+                let (host, created) = (world.host_of(id), world.now());
+                let dc = world.data_center();
+                let mut eager = match generation {
+                    Generation::Gen1 => Sandbox::Gen1(Gen1Sandbox::with_mitigation(
+                        dc.host(host),
+                        dc.model_of(host),
+                        mitigation,
+                        created,
+                        &mut rng,
+                    )),
+                    Generation::Gen2 => Sandbox::Gen2(Gen2Sandbox::with_mitigation(
+                        dc.host(host),
+                        mitigation,
+                        created,
+                        &mut rng,
+                    )),
+                };
+                // Creation made the one draw the eager build makes.
+                assert_eq!(world.rng.clone().below(1 << 30), rng.below(1 << 30));
+                for secs in [3, 40, 600] {
+                    world.advance(SimDuration::from_secs(secs));
+                    let lazy = world.with_guest(id, read_guest).expect("alive");
+                    assert_eq!(
+                        lazy,
+                        read_guest(&mut eager, world.now()),
+                        "{generation:?} under {mitigation:?}, +{secs} s"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probing_a_branch_first_leaves_the_parent_sandbox_alone() {
+        for generation in [Generation::Gen1, Generation::Gen2] {
+            let launched = || {
+                let (mut world, service) = guest_world(generation, TscMitigation::None);
+                let id = world.launch(service, 1).expect("within caps").instances()[0];
+                world.advance(SimDuration::from_secs(30));
+                (world, id)
+            };
+            let probe_twice = |world: &mut World, id| {
+                let first = world.with_guest(id, read_guest).expect("alive");
+                world.advance(SimDuration::from_secs(5));
+                (first, world.with_guest(id, read_guest).expect("alive"))
+            };
+            let (mut alone, id) = launched();
+            let expected = probe_twice(&mut alone, id);
+
+            let (mut parent, id) = launched();
+            let mut branch = parent.branch();
+            assert_eq!(probe_twice(&mut branch, id), expected, "{generation:?}");
+            assert_eq!(probe_twice(&mut parent, id), expected, "{generation:?}");
+        }
+    }
+
+    #[test]
+    fn a_host_reboot_terminates_instances_whose_sandbox_was_never_built() {
+        let mut world = World::new(RegionConfig::us_west1().with_hosts(1), 24);
+        let account = world.create_account();
+        let service = world.deploy_service(account, ServiceSpec::default());
+        let before = world.launch(service, 1).expect("within caps").instances()[0];
+        let host = world.host_of(before);
+        let old_tsc = world.data_center().host(host).tsc();
+        world.enable_host_churn(SimDuration::from_hours(1));
+        while world.data_center().host(host).tsc() == old_tsc {
+            world.advance(SimDuration::from_mins(10));
+        }
+        assert_eq!(
+            world.with_guest(before, |_, _| ()),
+            Err(GuestError::Terminated(before))
+        );
+
+        let after = world.launch(service, 1).expect("within caps").instances()[0];
+        let now = world.now();
+        let tsc = world
+            .with_guest(after, |sandbox, now| sandbox.rdtsc(now))
+            .expect("alive");
+        assert_eq!(tsc, world.data_center().host(host).tsc().read(now));
+        assert_ne!(tsc, old_tsc.read(now), "the rebooted host's counter");
     }
 
     #[test]
