@@ -1,134 +1,110 @@
-//! Regenerates every table and figure of the paper at full scale.
+//! Regenerates every table and figure of the paper.
 //!
 //! ```text
 //! repro [EXPERIMENT ...] [--seed N] [--json DIR] [--quick] [--jobs N] [--trace FILE]
 //! ```
 //!
-//! Experiments: `fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11a fig11b fig12
-//! sec4.2 sec4.3 sec4.5 strategy1 gen2 sec6 opt factors all` (default: `all`).
+//! Experiments are the rows of the campaign registry
+//! (`eaao_campaign::registry::EXPERIMENTS`); `all`, the default, is the
+//! paper suite `fig4 … factors`.
+//!
+//! Every invocation is one campaign: each selected experiment runs once
+//! per paper region (`us-west1` alone with `--quick`), seeded from
+//! `--seed` and the run key. After the run, stdout gets each record's
+//! render in grid order. The campaign's `results.jsonl`, `manifest.jsonl`
+//! and `campaign.json` go to `--json DIR` (default `repro-campaign/`).
+//! `--jobs N` only sets the worker count: stdout and those files are the
+//! same at any N, `wall_ms` aside. Progress and wall-clock lines go to
+//! stderr.
 //!
 //! `--quick` swaps in the reduced-scale configurations used by tests.
-//! `--json DIR` additionally dumps each result as JSON for plotting.
-//! `--jobs N` (N > 1) runs the selected experiments as a parallel campaign
-//! through `eaao-campaign` — one run per experiment × paper region,
-//! streamed to `<json dir>/results.jsonl` — instead of the serial text
-//! report. Exit status is non-zero if any experiment fails either way.
 //! `--trace FILE` streams structured span/metrics events to `FILE` as
-//! JSONL on either path (see `docs/OBSERVABILITY.md`); summarize with
-//! `eaao trace FILE`.
+//! JSONL (see `docs/OBSERVABILITY.md`); summarize with `eaao trace FILE`.
+//! Exit status is non-zero if any run fails.
 
-use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::time::Instant;
 
-use eaao_bench::{format_series, format_summary, percent, TextTable};
-use eaao_cloudsim::mitigation::TscMitigation;
-use eaao_cloudsim::service::Generation;
-use eaao_core::experiment::{
-    fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12, opt52, other_factors, sec42,
-    sec43, sec45, sec52, sec6,
-};
-use eaao_simcore::time::SimDuration;
-
-/// Every experiment name `repro` accepts, in paper order.
-const KNOWN_EXPERIMENTS: [&str; 18] = [
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11a",
-    "fig11b",
-    "fig12",
-    "sec4.2",
-    "sec4.3",
-    "sec4.5",
-    "strategy1",
-    "gen2",
-    "sec6",
-    "opt",
-    "factors",
-];
+use eaao_campaign::engine::Campaign;
+use eaao_campaign::registry::{Experiment, EXPERIMENTS};
+use eaao_campaign::runner::RunRecord;
+use eaao_campaign::spec::{CampaignSpec, KNOWN_REGIONS};
 
 struct Options {
-    experiments: BTreeSet<String>,
+    experiments: Vec<&'static Experiment>,
     seed: u64,
-    json_dir: Option<String>,
+    json_dir: String,
     quick: bool,
     jobs: usize,
-    trace: Option<std::path::PathBuf>,
+    trace: Option<PathBuf>,
 }
 
 fn parse_args() -> Options {
-    let mut experiments = BTreeSet::new();
-    let mut seed = 2_024;
-    let mut json_dir = None;
-    let mut quick = false;
-    let mut jobs = 1;
-    let mut trace = None;
+    let names = || {
+        let all: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        all.join(" ")
+    };
+    let mut selected: Vec<&'static Experiment> = Vec::new();
+    let mut options = Options {
+        experiments: Vec::new(),
+        seed: 2_024,
+        json_dir: "repro-campaign".to_owned(),
+        quick: false,
+        jobs: 1,
+        trace: None,
+    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => {
-                seed = args
+                options.seed = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--seed needs an integer"));
             }
             "--json" => {
-                json_dir = Some(args.next().unwrap_or_else(|| die("--json needs a dir")));
+                options.json_dir = args.next().unwrap_or_else(|| die("--json needs a dir"));
             }
             "--jobs" => {
-                jobs = args
+                options.jobs = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| die("--jobs needs a positive integer"));
             }
             "--trace" => {
-                trace = Some(std::path::PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--trace needs a file")),
-                ));
+                let path = args.next().unwrap_or_else(|| die("--trace needs a file"));
+                options.trace = Some(PathBuf::from(path));
             }
-            "--quick" => quick = true,
+            "--quick" => options.quick = true,
             "--help" | "-h" => {
                 println!(
                     "usage: repro [EXPERIMENT ...] [--seed N] [--json DIR] [--quick] [--jobs N] [--trace FILE]\n\
                      experiments: {} all",
-                    KNOWN_EXPERIMENTS.join(" ")
+                    names()
                 );
                 std::process::exit(0);
             }
-            name if name.starts_with("--") => {
-                die(&format!("unknown flag {name:?}"));
-            }
-            "all" => {
-                experiments.insert("all".to_owned());
-            }
-            name if KNOWN_EXPERIMENTS.contains(&name) => {
-                experiments.insert(name.to_owned());
-            }
-            other => {
-                die(&format!(
-                    "unknown experiment {other:?} (known: {} all)",
-                    KNOWN_EXPERIMENTS.join(" ")
-                ));
-            }
+            flag if flag.starts_with("--") => die(&format!("unknown flag {flag:?}")),
+            "all" => selected.extend(Experiment::paper_suite()),
+            name => match Experiment::find(name) {
+                Some(experiment) => selected.push(experiment),
+                None => die(&format!(
+                    "unknown experiment {name:?} (known: {} all)",
+                    names()
+                )),
+            },
         }
     }
-    if experiments.is_empty() || experiments.contains("all") {
-        experiments = KNOWN_EXPERIMENTS.iter().map(|s| (*s).to_owned()).collect();
+    if selected.is_empty() {
+        selected.extend(Experiment::paper_suite());
     }
-    Options {
-        experiments,
-        seed,
-        json_dir,
-        quick,
-        jobs,
-        trace,
-    }
+    // Registry order, each experiment once.
+    options.experiments = EXPERIMENTS
+        .iter()
+        .filter(|e| selected.contains(e))
+        .collect();
+    options
 }
 
 fn die(msg: &str) -> ! {
@@ -136,579 +112,68 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn dump_json<T: serde::Serialize>(options: &Options, name: &str, value: &T) {
-    if let Some(dir) = &options.json_dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
-        let path = format!("{dir}/{name}.json");
-        let body = serde_json::to_string_pretty(value).expect("serialize result");
-        std::fs::write(&path, body).expect("write json result");
-    }
-}
-
-fn banner(title: &str) {
-    println!("\n=== {title} ===");
-}
-
 fn main() {
     let options = parse_args();
-    if options.jobs > 1 {
-        run_as_campaign(&options);
-        return;
-    }
-    // The serial path traces the whole report as one collector scope.
-    let tracer = options.trace.as_ref().map(|path| {
-        let writer = eaao_obs::TraceWriter::create(path)
-            .unwrap_or_else(|e| die(&format!("cannot create trace file {}: {e}", path.display())));
-        (writer, eaao_obs::Collector::with_events())
-    });
-    let ok = match &tracer {
-        Some((_, collector)) => {
-            eaao_obs::with_instrument(collector.clone(), || run_serial(&options))
-        }
-        None => run_serial(&options),
-    };
-    if let Some((writer, collector)) = &tracer {
-        let mut events = collector.drain_events();
-        events.extend(collector.metrics_event());
-        writer
-            .write_events(&events)
-            .unwrap_or_else(|e| die(&format!("cannot write trace file: {e}")));
-        eprintln!("trace: {} events written", events.len());
-    }
-    if !ok {
-        std::process::exit(1);
-    }
-}
-
-/// Runs the selected experiments serially, returning whether all passed.
-fn run_serial(options: &Options) -> bool {
-    let started = Instant::now();
-    let mut failed: Vec<String> = Vec::new();
-    for name in options.experiments.clone() {
-        let t = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| match name.as_str() {
-            "fig4" => fig4(options),
-            "fig5" => fig5(options),
-            "fig6" => fig6(options),
-            "fig7" => fig7(options),
-            "fig8" => fig8(options),
-            "fig9" => fig9(options),
-            "fig10" => fig10(options),
-            "fig11a" => fig11(options, "11a", Generation::Gen1),
-            "fig11b" => fig11(options, "11b", Generation::Gen1),
-            "gen2" => fig11(options, "11a", Generation::Gen2),
-            "fig12" => fig12(options),
-            "sec4.2" => sec42(options),
-            "sec4.3" => sec43(options),
-            "sec4.5" => sec45(options),
-            "strategy1" => strategy1(options),
-            "sec6" => sec6_mitigations(options),
-            "opt" => opt_optimizations(options),
-            "factors" => other_factors_checks(options),
-            other => die(&format!("unknown experiment {other:?}")),
-        }));
-        if outcome.is_err() {
-            eprintln!("repro: experiment {name:?} failed");
-            failed.push(name.clone());
-        }
-        println!("  [{} took {:.1?}]", name, t.elapsed());
-    }
-    println!("\nall done in {:.1?}", started.elapsed());
-    if !failed.is_empty() {
-        eprintln!(
-            "repro: {} experiment(s) failed: {}",
-            failed.len(),
-            failed.join(" ")
-        );
-        return false;
-    }
-    true
-}
-
-/// The `--jobs N` path: the selected experiments become a campaign grid
-/// (experiment × paper region, one seed) executed in parallel, streamed
-/// to JSONL under the `--json` directory (default `repro-campaign`).
-fn run_as_campaign(options: &Options) {
-    use eaao_campaign::engine::Campaign;
-    use eaao_campaign::spec::CampaignSpec;
-
-    let regions = if options.quick {
-        vec!["us-west1".to_owned()]
+    let regions: &[&str] = if options.quick {
+        &["us-west1"]
     } else {
-        vec![
-            "us-east1".to_owned(),
-            "us-central1".to_owned(),
-            "us-west1".to_owned(),
-        ]
+        &KNOWN_REGIONS
     };
     let spec = CampaignSpec {
         name: "repro".to_owned(),
-        experiments: options.experiments.iter().cloned().collect(),
-        regions,
-        seeds: 1,
+        experiments: options
+            .experiments
+            .iter()
+            .map(|e| e.name.to_owned())
+            .collect(),
+        regions: regions.iter().map(|r| (*r).to_owned()).collect(),
         seed: options.seed,
         quick: options.quick,
         ..CampaignSpec::default()
     };
-    let out_dir = options
-        .json_dir
-        .clone()
-        .unwrap_or_else(|| "repro-campaign".to_owned());
-    let report = Campaign::new(spec, &out_dir)
+    let out_dir = &options.json_dir;
+    let started = Instant::now();
+    let mut records: Vec<RunRecord> = Vec::new();
+    let report = Campaign::new(spec, out_dir)
         .jobs(options.jobs)
         .trace(options.trace.clone())
         .run_with_progress(|done, total, record| {
             let status = if record.is_ok() { "ok" } else { "FAILED" };
-            println!("[{done:>4}/{total}] {status:>6}  {}", record.key);
+            eprintln!(
+                "[{done:>3}/{total}] {status:>6}  {}  ({:.1} s)",
+                record.key,
+                record.wall_ms / 1e3
+            );
+            records.push(record.clone());
         })
         .unwrap_or_else(|e| die(&format!("campaign failed: {e}")));
-    println!(
-        "repro campaign: {} runs, {} failed -> {out_dir}/results.jsonl",
-        report.total, report.failed
-    );
-    if !report.all_ok() {
-        std::process::exit(1);
-    }
-}
+    records.sort_by_key(|record| record.index);
 
-fn fig4(options: &Options) {
-    banner("Figure 4: Gen 1 fingerprint accuracy vs p_boot");
-    let config = if options.quick {
-        fig04::Fig04Config::quick()
-    } else {
-        fig04::Fig04Config::default()
-    };
-    let result = config.run(options.seed);
-    let mut table = TextTable::new(&["p_boot (s)", "FMI", "precision", "recall"]);
-    for p in &result.points {
-        table.row(vec![
-            format!("{:.1e}", p.p_boot_s),
-            format_summary(&p.fmi),
-            format_summary(&p.precision),
-            format_summary(&p.recall),
-        ]);
-    }
-    print!("{}", table.render());
-    println!(
-        "  perfect clusterings at p_boot = 1 s: {} of {} runs (paper: 14 of 15)",
-        result.perfect_runs, result.total_runs
-    );
-    dump_json(options, "fig4", &result);
-}
-
-fn fig5(options: &Options) {
-    banner("Figure 5: fingerprint expiration CDF");
-    let regions: &[&str] = if options.quick {
-        &["us-west1"]
-    } else {
-        &["us-east1", "us-central1", "us-west1"]
-    };
-    let mut results = Vec::new();
-    for (i, region) in regions.iter().enumerate() {
-        let mut config = if options.quick {
-            fig05::Fig05Config::quick()
-        } else {
-            fig05::Fig05Config::default()
+    let mut failed = 0;
+    for record in &records {
+        let experiment =
+            Experiment::find(&record.experiment).expect("records name registry experiments");
+        println!("\n=== {} ({}) ===", experiment.title, record.region);
+        let text = match (&record.payload, &record.error) {
+            (Some(payload), None) => {
+                (experiment.render)(payload).map_err(|e| format!("cannot render the payload: {e}"))
+            }
+            (_, error) => Err(error.clone().unwrap_or_default()),
         };
-        config.region = (*region).to_owned();
-        let result = config.run(options.seed.wrapping_add(i as u64 * 97));
-        println!(
-            "  {region}: {} histories kept ({} filtered), min |r| = {:.5}",
-            result.histories_kept, result.filtered_out, result.min_abs_r
-        );
-        println!(
-            "    expired by 2 days: {}   by 7 days: {}   (paper: ~10% by ~2 days)",
-            percent(result.fraction_expired_by(2.0)),
-            percent(result.fraction_expired_by(7.0)),
-        );
-        results.push(result);
-    }
-    dump_json(options, "fig5", &results);
-}
-
-fn fig6(options: &Options) {
-    banner("Figure 6: idle-instance termination");
-    let config = if options.quick {
-        fig06::Fig06Config::quick()
-    } else {
-        fig06::Fig06Config::default()
-    };
-    let result = config.run(options.seed);
-    // Print minute-resolution samples only.
-    let mut table = TextTable::new(&["minutes since disconnect", "idle instances"]);
-    for &(x, y) in result.idle_over_time.points() {
-        if (x - x.round()).abs() < 1e-9 {
-            table.row(vec![format!("{x:.0}"), format!("{y:.0}")]);
+        match text {
+            Ok(text) => print!("{text}"),
+            Err(error) => {
+                failed += 1;
+                println!("  FAILED: {error}");
+            }
         }
     }
-    print!("{}", table.render());
-    dump_json(options, "fig6", &result);
-}
-
-fn fig7(options: &Options) {
-    banner("Figure 7: base hosts across launches (45-minute interval)");
-    let config = if options.quick {
-        fig07::Fig07Config::quick()
-    } else {
-        fig07::Fig07Config::default()
-    };
-    let result = config.run(options.seed);
-    print!("{}", format_series(&result.per_launch));
-    print!("{}", format_series(&result.cumulative));
-    println!(
-        "  cumulative growth beyond launch 1: {:.0} hosts (paper: minimal)",
-        result.footprint_growth()
+    eprintln!(
+        "repro: {} runs, {failed} failed, in {:.1?} -> {out_dir}/results.jsonl",
+        report.total,
+        started.elapsed()
     );
-    dump_json(options, "fig7", &result);
-}
-
-fn fig8(options: &Options) {
-    banner("Figure 8: base hosts across accounts");
-    let config = if options.quick {
-        fig08::Fig08Config::quick()
-    } else {
-        fig08::Fig08Config::default()
-    };
-    let result = config.run(options.seed);
-    let mut table = TextTable::new(&["launch (account)", "apparent hosts", "cumulative"]);
-    for (i, (&(_, per), &(_, cum))) in result
-        .per_launch
-        .points()
-        .iter()
-        .zip(result.cumulative.points())
-        .enumerate()
-    {
-        table.row(vec![
-            format!("{} ({})", i + 1, result.owners[i]),
-            format!("{per:.0}"),
-            format!("{cum:.0}"),
-        ]);
+    if failed > 0 {
+        std::process::exit(1);
     }
-    print!("{}", table.render());
-    let (new_step, same_step) = result.step_contrast();
-    println!(
-        "  mean cumulative growth: new-account launches {new_step:.0}, repeat launches {same_step:.0}"
-    );
-    dump_json(options, "fig8", &result);
-}
-
-fn fig9(options: &Options) {
-    banner("Figure 9: helper hosts (10-minute interval)");
-    let config = if options.quick {
-        fig09::Fig09Config::quick()
-    } else {
-        fig09::Fig09Config::default()
-    };
-    let result = config.run(options.seed);
-    print!("{}", format_series(&result.per_launch));
-    print!("{}", format_series(&result.cumulative));
-    println!(
-        "  extra hosts beyond launch 1: {:.0} (paper: 177)",
-        result.extra_hosts()
-    );
-    // The 2-minute-interval comparison from the text.
-    let mut fast = config.clone();
-    fast.interval = SimDuration::from_mins(2);
-    let fast_result = fast.run(options.seed.wrapping_add(1));
-    println!(
-        "  with a 2-minute interval: {:.0} extra hosts (paper: ~12)",
-        fast_result.extra_hosts()
-    );
-    dump_json(options, "fig9", &result);
-}
-
-fn fig10(options: &Options) {
-    banner("Figure 10: helper-host footprint across episodes");
-    let config = if options.quick {
-        fig10::Fig10Config::quick()
-    } else {
-        fig10::Fig10Config::default()
-    };
-    let result = config.run(options.seed);
-    print!("{}", format_series(&result.per_episode));
-    print!("{}", format_series(&result.cumulative));
-    dump_json(options, "fig10", &result);
-}
-
-fn fig11(options: &Options, variant: &str, generation: Generation) {
-    let label = match (variant, generation) {
-        ("11a", Generation::Gen1) => "Figure 11a: victim coverage vs victim count",
-        ("11b", Generation::Gen1) => "Figure 11b: victim coverage vs victim size",
-        _ => "Section 5.2: Strategy 2 coverage in the Gen 2 environment",
-    };
-    banner(label);
-    let mut config = if options.quick {
-        fig11::Fig11Config::quick()
-    } else {
-        fig11::Fig11Config::default()
-    };
-    config.generation = generation;
-    if generation == Generation::Gen2 && !options.quick {
-        // The paper reports Gen 2 transfer at the default configuration.
-        config.victim_counts = vec![100];
-    }
-    let result = if variant == "11b" {
-        config.run_11b(options.seed)
-    } else {
-        config.run_11a(options.seed)
-    };
-    let mut table = TextTable::new(&[
-        "region",
-        "victim acct",
-        "victims",
-        "size",
-        "coverage",
-        "attacker hosts",
-        "host coverage",
-        "cost",
-    ]);
-    for cell in &result.cells {
-        table.row(vec![
-            cell.region.clone(),
-            format!("Acc.{}", cell.victim + 2),
-            cell.victim_count.to_string(),
-            cell.victim_size.clone(),
-            format_summary(&cell.coverage),
-            format!("{:.0}", cell.attacker_hosts),
-            percent(cell.attacker_host_coverage),
-            format!("${:.2}", cell.attack_cost_usd),
-        ]);
-    }
-    print!("{}", table.render());
-    println!(
-        "  co-location with >=1 victim instance: {} of runs (paper: 100%)",
-        percent(result.at_least_one_rate())
-    );
-    let name = if generation == Generation::Gen2 {
-        "gen2".to_owned()
-    } else {
-        format!("fig{variant}")
-    };
-    dump_json(options, &name, &result);
-}
-
-fn fig12(options: &Options) {
-    banner("Figure 12: cluster-size estimation");
-    let config = if options.quick {
-        fig12::Fig12Config::quick()
-    } else {
-        fig12::Fig12Config::default()
-    };
-    let result = config.run(options.seed);
-    let mut table = TextTable::new(&["region", "estimated hosts", "true hosts", "paper"]);
-    for (region, report) in &result.per_region {
-        let paper = match region.as_str() {
-            "us-east1" => "474",
-            "us-central1" => "1702",
-            "us-west1" => "199",
-            _ => "-",
-        };
-        table.row(vec![
-            region.clone(),
-            report.estimated_hosts.to_string(),
-            report.true_hosts.to_string(),
-            paper.to_owned(),
-        ]);
-    }
-    print!("{}", table.render());
-    dump_json(options, "fig12", &result);
-}
-
-fn sec42(options: &Options) {
-    banner("Section 4.2: measured-TSC-frequency scatter");
-    let config = if options.quick {
-        sec42::Sec42Config::quick()
-    } else {
-        sec42::Sec42Config::default()
-    };
-    let result = config.run(options.seed);
-    println!(
-        "  hosts evaluated: {}   problematic (std >= 10 kHz): {} ({})",
-        result.hosts(),
-        result.problematic_hosts(),
-        percent(result.problematic_fraction())
-    );
-    println!("  paper: 58 of 586 hosts (~10%)");
-    dump_json(options, "sec42", &result);
-}
-
-fn sec43(options: &Options) {
-    banner("Section 4.3: verification cost, pairwise vs hierarchical");
-    let config = if options.quick {
-        sec43::Sec43Config::quick()
-    } else {
-        sec43::Sec43Config::default()
-    };
-    let result = config.run(options.seed);
-    let mut table = TextTable::new(&["method", "tests", "wall", "cost", "clusters"]);
-    for row in [&result.hierarchical, &result.pairwise] {
-        table.row(vec![
-            row.method.clone(),
-            row.tests.to_string(),
-            format!("{:.1} min", row.wall_s / 60.0),
-            format!("${:.2}", row.cost_usd),
-            row.clusters.to_string(),
-        ]);
-    }
-    print!("{}", table.render());
-    println!(
-        "  speedup {:.0}x, cost ratio {:.0}x (paper: 8.9 h/$645 vs 1-2 min/$1-3)",
-        result.speedup(),
-        result.cost_ratio()
-    );
-    dump_json(options, "sec43", &result);
-}
-
-fn sec45(options: &Options) {
-    banner("Section 4.5: Gen 2 fingerprint accuracy");
-    let config = if options.quick {
-        sec45::Sec45Config::quick()
-    } else {
-        sec45::Sec45Config::default()
-    };
-    let result = config.run(options.seed);
-    println!(
-        "  FMI:        {} (paper: 0.66)",
-        format_summary(&result.fmi)
-    );
-    println!(
-        "  precision:  {} (paper: 0.48)",
-        format_summary(&result.precision)
-    );
-    println!(
-        "  recall:     {} (paper: 1.0, no false negatives)",
-        format_summary(&result.recall)
-    );
-    println!(
-        "  hosts per fingerprint: {} (paper: 2.0)",
-        format_summary(&result.hosts_per_fingerprint)
-    );
-    println!("  false-negative pairs: {}", result.false_negatives_total);
-    dump_json(options, "sec45", &result);
-}
-
-fn strategy1(options: &Options) {
-    banner("Section 5.2, Strategy 1: naive launching");
-    let config = if options.quick {
-        sec52::Sec52Config::quick()
-    } else {
-        sec52::Sec52Config::default()
-    };
-    let result = config.run(options.seed);
-    let mut table = TextTable::new(&["region", "victim acct", "coverage", "cost"]);
-    for cell in &result.cells {
-        table.row(vec![
-            cell.region.clone(),
-            format!("Acc.{}", cell.victim + 2),
-            percent(cell.coverage),
-            format!("${:.2}", cell.cost_usd),
-        ]);
-    }
-    print!("{}", table.render());
-    println!(
-        "  zero-coverage cells: {} of {}   high-coverage cells: {}",
-        result.zero_cells(),
-        result.cells.len(),
-        result.high_cells()
-    );
-    dump_json(options, "strategy1", &result);
-}
-
-fn sec6_mitigations(options: &Options) {
-    banner("Section 6: mitigations");
-    let config = if options.quick {
-        sec6::Sec6Config::quick()
-    } else {
-        sec6::Sec6Config::default()
-    };
-    let result = config.run(options.seed);
-    let mut table = TextTable::new(&[
-        "mitigation",
-        "Gen1 FMI",
-        "Gen2 precision",
-        "Gen2 distinct fps",
-        "db overhead",
-        "web overhead",
-    ]);
-    for row in &result.rows {
-        let name = match row.mitigation {
-            TscMitigation::None => "none (paper's platforms)",
-            TscMitigation::TrapAndEmulate => "trap & emulate (Gen 1)",
-            TscMitigation::OffsetAndScale => "offset + scale (Gen 2)",
-        };
-        table.row(vec![
-            name.to_owned(),
-            format!("{:.4}", row.gen1_fmi),
-            format!("{:.3}", row.gen2_precision),
-            row.gen2_distinct_values.to_string(),
-            percent(row.database_overhead),
-            percent(row.web_overhead),
-        ]);
-    }
-    print!("{}", table.render());
-    println!(
-        "  co-location-resistant scheduling: Strategy-2 coverage {} -> {}",
-        percent(result.coverage_unmitigated),
-        percent(result.coverage_resistant)
-    );
-    dump_json(options, "sec6", &result);
-}
-
-fn opt_optimizations(options: &Options) {
-    banner("Section 5.2: attack optimizations");
-    let config = if options.quick {
-        opt52::Opt52Config::quick()
-    } else {
-        opt52::Opt52Config::default()
-    };
-    let result = config.run(options.seed);
-    println!(
-        "  multi-account ({}): 1 account -> {} hosts, 3 accounts -> {} hosts",
-        result.region, result.hosts_one_account, result.hosts_three_accounts
-    );
-    println!(
-        "  fresh accounts blocked by the 10-instance quota: {}",
-        result.new_accounts_blocked
-    );
-    println!(
-        "  repeated attack: first = {} coverage, ${:.2}, {} extraction instances",
-        percent(result.first_coverage),
-        result.first_cost_usd,
-        result.first_fleet
-    );
-    println!(
-        "  focused repeat  = {} coverage, ${:.2}, {} extraction instances ({} saved)",
-        percent(result.focused_coverage),
-        result.focused_cost_usd,
-        result.focused_fleet,
-        percent(result.cost_saving())
-    );
-    dump_json(options, "opt52", &result);
-}
-
-fn other_factors_checks(options: &Options) {
-    banner("Section 5.1: other factors");
-    let config = if options.quick {
-        other_factors::OtherFactorsConfig::quick()
-    } else {
-        other_factors::OtherFactorsConfig::default()
-    };
-    let result = config.run(options.seed);
-    println!(
-        "  base-host footprint overlap, launches 12 h apart: {}",
-        percent(result.time_of_day_overlap)
-    );
-    println!(
-        "  overlap between Pico and Large services:          {}",
-        percent(result.size_overlap)
-    );
-    println!(
-        "  overlap between Gen 1 and Gen 2 services:         {}",
-        percent(result.generation_overlap)
-    );
-    println!(
-        "  Gen 2 instances sharing hosts with live Gen 1 instances: {} of {}",
-        result.gen2_instances_on_gen1_hosts, result.gen2_instances
-    );
-    dump_json(options, "other_factors", &result);
 }

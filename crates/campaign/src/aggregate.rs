@@ -4,8 +4,9 @@
 
 use eaao_obs::MetricsSnapshot;
 use eaao_simcore::stats::Summary;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
+use crate::registry::Experiment;
 use crate::runner::RunRecord;
 
 /// A mean with a normal-approximation 95% confidence interval.
@@ -43,13 +44,9 @@ impl Estimate {
     }
 }
 
-/// Extracts the per-run "did the attacker co-locate at least once"
-/// indicator (1.0 or 0.0) from a successful record, for the experiments
-/// that measure it:
-///
-/// * `attack-naive` / `attack-optimized` — the payload's `at_least_one`.
-/// * `fig11a` / `fig11b` / `gen2` — mean `at_least_one_rate` over cells.
-/// * `strategy1` — fraction of cells with nonzero coverage.
+/// Extracts the per-run "did the attacker co-locate at least once" rate
+/// (0 to 1) from a successful record, through its experiment's
+/// co-location headline in the [registry](crate::registry).
 ///
 /// Returns `None` for failed runs and experiments without a co-location
 /// notion (e.g. the placement-reverse-engineering figures).
@@ -57,31 +54,8 @@ pub fn colocation_probability(record: &RunRecord) -> Option<f64> {
     if !record.is_ok() {
         return None;
     }
-    let payload = record.payload.as_ref()?;
-    match record.experiment.as_str() {
-        "attack-naive" | "attack-optimized" => match payload.get("at_least_one")? {
-            Value::Bool(hit) => Some(if *hit { 1.0 } else { 0.0 }),
-            _ => None,
-        },
-        "fig11a" | "fig11b" | "gen2" => {
-            mean_over_cells(payload, |cell| cell.get("at_least_one_rate")?.as_f64())
-        }
-        "strategy1" => mean_over_cells(payload, |cell| {
-            let coverage = cell.get("coverage")?.as_f64()?;
-            Some(if coverage > 0.0 { 1.0 } else { 0.0 })
-        }),
-        _ => None,
-    }
-}
-
-fn mean_over_cells(payload: &Value, extract: impl Fn(&Value) -> Option<f64>) -> Option<f64> {
-    let cells = payload.get("cells")?.as_array()?;
-    let values: Vec<f64> = cells.iter().filter_map(extract).collect();
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
+    let headline = Experiment::find(&record.experiment)?.colocation?;
+    headline(record.payload.as_ref()?)
 }
 
 /// Groups records by `(experiment, region, generation, mitigation,

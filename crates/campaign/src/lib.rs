@@ -21,11 +21,13 @@
 //!
 //! Module map:
 //!
+//! * [`registry`] — [`EXPERIMENTS`](registry::EXPERIMENTS), one row per
+//!   experiment: name, grid axes, run, text render, co-location headline.
 //! * [`spec`] — [`CampaignSpec`](spec::CampaignSpec) and its expansion
 //!   into [`RunSpec`](spec::RunSpec) grid cells.
 //! * [`pool`] — the work-stealing [`Executor`](pool::Executor).
-//! * [`runner`] — one-cell execution: seed derivation, experiment
-//!   dispatch, panic capture, [`RunRecord`](runner::RunRecord).
+//! * [`runner`] — one-cell execution: seed derivation, the row's run,
+//!   panic capture, [`RunRecord`](runner::RunRecord).
 //! * [`sink`] — the JSONL streams and the resume manifest.
 //! * [`engine`] — [`Campaign`](engine::Campaign), tying it together.
 //! * [`aggregate`] — co-location probability estimates with confidence
@@ -46,6 +48,7 @@
 pub mod aggregate;
 pub mod engine;
 pub mod pool;
+pub mod registry;
 pub mod runner;
 pub mod sink;
 pub mod spec;
@@ -57,7 +60,8 @@ pub mod prelude {
     };
     pub use crate::engine::{Campaign, CampaignError, CampaignReport};
     pub use crate::pool::Executor;
+    pub use crate::registry::{Experiment, EXPERIMENTS};
     pub use crate::runner::{derive_seed, execute, execute_traced, RunRecord, WALL_FIELD};
     pub use crate::sink::{JsonlSink, ManifestEntry, PriorRuns, RecordSink};
-    pub use crate::spec::{CampaignSpec, ExperimentKind, RunSpec, SpecError};
+    pub use crate::spec::{CampaignSpec, RunSpec, SpecError};
 }

@@ -1,5 +1,6 @@
-//! Executes one grid cell: derives the run's seed, dispatches to the
-//! experiment driver, catches panics, and packages a [`RunRecord`].
+//! Executes one grid cell: derives the run's seed, runs the cell's
+//! [`Experiment`](crate::registry::Experiment) row, catches panics, and
+//! packages a [`RunRecord`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -7,25 +8,22 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use eaao_cloudsim::ids::{HostId, InstanceId};
+use eaao_cloudsim::ids::{AccountId, HostId, InstanceId};
 use eaao_cloudsim::mitigation::TscMitigation;
 use eaao_cloudsim::service::Generation;
 use eaao_core::coverage::measure_coverage;
-use eaao_core::experiment::{
-    calib, fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12, opt52, other_factors,
-    sec42, sec43, sec45, sec52, sec6,
-};
 use eaao_core::scenario::{Arena, Scenario};
-use eaao_core::strategy::{NaiveLaunch, OptimizedLaunch};
+use eaao_core::strategy::StrategyReport;
 use eaao_core::verify::{ctest_via, CTestConfig, VerifierChannel};
 use eaao_obs::{Collector, Event, MetricsSnapshot};
 use eaao_orchestrator::platform::PlatformKind;
-use eaao_orchestrator::World;
+use eaao_orchestrator::{LaunchError, World};
 use eaao_simcore::rng::SimRng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::spec::{ExperimentKind, RunSpec};
+use crate::registry::{Job, Outcome};
+use crate::spec::RunSpec;
 
 /// The per-run wall-time field name — the **only** nondeterministic field
 /// in a record. Consumers comparing result streams byte-for-byte (e.g.
@@ -201,11 +199,21 @@ pub fn execute_traced_cached(
         Collector::new()
     };
     let started = Instant::now();
+    let job = Job {
+        run,
+        seed,
+        master_seed,
+        cache,
+    };
     let outcome = eaao_obs::with_instrument(collector.clone(), || {
         let mut run_span = eaao_obs::span("campaign.run");
         run_span.str_field("key", &key);
-        run_span.str_field("experiment", run.experiment.name());
-        let outcome = catch_unwind(AssertUnwindSafe(|| dispatch(run, seed, master_seed, cache)));
+        run_span.str_field("experiment", run.experiment.name);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut dispatch_span = eaao_obs::span("experiment.dispatch");
+            dispatch_span.str_field("experiment", run.experiment.name);
+            (run.experiment.run)(&job)
+        }));
         run_span.bool_field("ok", outcome.is_ok());
         match &outcome {
             Ok((virtual_s, _)) => {
@@ -240,23 +248,10 @@ pub fn execute_traced_cached(
     let record = RunRecord {
         key,
         index: run.index as u64,
-        experiment: run.experiment.name().to_owned(),
+        experiment: run.experiment.name.to_owned(),
         region: run.region.clone(),
-        generation: run
-            .generation
-            .map_or("-", |g| match g {
-                Generation::Gen1 => "gen1",
-                Generation::Gen2 => "gen2",
-            })
-            .to_owned(),
-        mitigation: run
-            .mitigation
-            .map_or("-", |m| match m {
-                TscMitigation::None => "none",
-                TscMitigation::TrapAndEmulate => "trap-and-emulate",
-                TscMitigation::OffsetAndScale => "offset-and-scale",
-            })
-            .to_owned(),
+        generation: run.generation.map_or("-", Generation::name).to_owned(),
+        mitigation: run.mitigation.map_or("-", TscMitigation::name).to_owned(),
         platform: run.platform.map_or("-", PlatformKind::name).to_owned(),
         verifier: run.verifier.map_or("-", VerifierChannel::name).to_owned(),
         seed_index: run.seed_index,
@@ -269,153 +264,6 @@ pub fn execute_traced_cached(
         payload,
     };
     (record, events)
-}
-
-/// Dispatches to the experiment driver, returning the virtual horizon (if
-/// the experiment has a natural one) and the serialized result.
-fn dispatch(
-    run: &RunSpec,
-    seed: u64,
-    master_seed: u64,
-    cache: Option<&WorldCache>,
-) -> (Option<f64>, Value) {
-    let mut dispatch_span = eaao_obs::span("experiment.dispatch");
-    dispatch_span.str_field("experiment", run.experiment.name());
-    let region = run.region.clone();
-    match run.experiment {
-        ExperimentKind::Fig4 => {
-            let mut config = pick(run, fig04::Fig04Config::quick, fig04::Fig04Config::default);
-            config.regions = vec![region];
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Fig5 => {
-            let mut config = pick(run, fig05::Fig05Config::quick, fig05::Fig05Config::default);
-            config.region = region;
-            let virtual_s = config.duration.as_secs_f64();
-            (Some(virtual_s), val(&config.run(seed)))
-        }
-        ExperimentKind::Fig6 => {
-            let mut config = pick(run, fig06::Fig06Config::quick, fig06::Fig06Config::default);
-            config.region = region;
-            let virtual_s = config.watch.as_secs_f64();
-            (Some(virtual_s), val(&config.run(seed)))
-        }
-        ExperimentKind::Fig7 => {
-            let mut config = pick(run, fig07::Fig07Config::quick, fig07::Fig07Config::default);
-            config.region = region;
-            let virtual_s = config.interval.as_secs_f64() * config.launches as f64;
-            (Some(virtual_s), val(&config.run(seed)))
-        }
-        ExperimentKind::Fig8 => {
-            let mut config = pick(run, fig08::Fig08Config::quick, fig08::Fig08Config::default);
-            config.region = region;
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Fig9 => {
-            let mut config = pick(run, fig09::Fig09Config::quick, fig09::Fig09Config::default);
-            config.region = region;
-            let virtual_s = config.interval.as_secs_f64() * config.launches as f64;
-            (Some(virtual_s), val(&config.run(seed)))
-        }
-        ExperimentKind::Fig10 => {
-            let mut config = pick(run, fig10::Fig10Config::quick, fig10::Fig10Config::default);
-            config.region = region;
-            let per_episode = config.interval.as_secs_f64() * config.launches_per_episode as f64
-                + config.episode_gap.as_secs_f64();
-            let virtual_s = per_episode * config.episodes as f64;
-            (Some(virtual_s), val(&config.run(seed)))
-        }
-        ExperimentKind::Fig11a | ExperimentKind::Fig11b => {
-            let mut config = pick(run, fig11::Fig11Config::quick, fig11::Fig11Config::default);
-            config.regions = vec![region];
-            if let Some(generation) = run.generation {
-                config.generation = generation;
-            }
-            let result = if run.experiment == ExperimentKind::Fig11b {
-                config.run_11b(seed)
-            } else {
-                config.run_11a(seed)
-            };
-            (None, val(&result))
-        }
-        ExperimentKind::Gen2 => {
-            let mut config = pick(run, fig11::Fig11Config::quick, fig11::Fig11Config::default);
-            config.regions = vec![region];
-            config.generation = Generation::Gen2;
-            if !run.quick {
-                config.victim_counts = vec![100];
-            }
-            (None, val(&config.run_11a(seed)))
-        }
-        ExperimentKind::Fig12 => {
-            let mut config = pick(run, fig12::Fig12Config::quick, fig12::Fig12Config::default);
-            config.regions = vec![region];
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Sec42 => {
-            let mut config = pick(run, sec42::Sec42Config::quick, sec42::Sec42Config::default);
-            config.region = region;
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Sec43 => {
-            let mut config = pick(run, sec43::Sec43Config::quick, sec43::Sec43Config::default);
-            config.region = region;
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Sec45 => {
-            let mut config = pick(run, sec45::Sec45Config::quick, sec45::Sec45Config::default);
-            config.regions = vec![region];
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Strategy1 => {
-            let mut config = pick(run, sec52::Sec52Config::quick, sec52::Sec52Config::default);
-            config.regions = vec![region];
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Sec6 => {
-            let mut config = pick(run, sec6::Sec6Config::quick, sec6::Sec6Config::default);
-            config.region = region;
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Opt => {
-            let mut config = pick(run, opt52::Opt52Config::quick, opt52::Opt52Config::default);
-            config.region = region;
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::Factors => {
-            let mut config = pick(
-                run,
-                other_factors::OtherFactorsConfig::quick,
-                other_factors::OtherFactorsConfig::default,
-            );
-            config.region = region;
-            (None, val(&config.run(seed)))
-        }
-        ExperimentKind::AttackNaive | ExperimentKind::AttackOptimized => {
-            attack_trial(run, master_seed, cache)
-        }
-        ExperimentKind::Calibration => {
-            let mut config = pick(run, calib::CalibConfig::quick, calib::CalibConfig::default);
-            config.region = region;
-            config.platform = run.platform.unwrap_or(PlatformKind::CloudRun);
-            config.channel = run.verifier.unwrap_or(VerifierChannel::MembusLockCheck);
-            let result = config.run(seed);
-            (Some(result.wall_s), val(&result))
-        }
-    }
-}
-
-/// Serializes a driver result into the record payload.
-fn val<T: Serialize + ?Sized>(value: &T) -> Value {
-    serde_json::to_value(value).expect("driver result serializes")
-}
-
-fn pick<C>(run: &RunSpec, quick: impl Fn() -> C, full: impl Fn() -> C) -> C {
-    if run.quick {
-        quick()
-    } else {
-        full()
-    }
 }
 
 /// The campaign-native experiment: one full co-location attack against a
@@ -470,52 +318,25 @@ fn build_attack_arena(run: &RunSpec, master_seed: u64) -> Arena {
     scenario.build()
 }
 
-fn attack_trial(
-    run: &RunSpec,
-    master_seed: u64,
-    cache: Option<&WorldCache>,
-) -> (Option<f64>, Value) {
-    let quick = run.quick;
+/// Runs one attack trial: `launch` runs the strategy in a branch of the
+/// run's attack world, then coverage and one covert-channel confirmation
+/// are measured.
+pub(crate) fn attack_trial(
+    job: &Job<'_>,
+    launch: impl FnOnce(&mut World, AccountId) -> Result<StrategyReport, LaunchError>,
+) -> Outcome {
+    let run = job.run;
     let platform = run.platform.unwrap_or(PlatformKind::CloudRun);
     let channel = run.verifier.unwrap_or(VerifierChannel::RngCtest);
     // Both paths hand the trial a *branch* of a detached-collector build,
     // so a record's metrics block is identical whether its world came
     // from the cache or was built on the spot.
-    let mut arena = match cache {
-        Some(cache) => cache.branch(&run.world_key(), || build_attack_arena(run, master_seed)),
-        None => {
-            eaao_obs::with_instrument(Collector::new(), || build_attack_arena(run, master_seed))
-                .branch()
-        }
+    let build = || build_attack_arena(run, job.master_seed);
+    let mut arena = match job.cache {
+        Some(cache) => cache.branch(&run.world_key(), build),
+        None => eaao_obs::with_instrument(Collector::new(), build).branch(),
     };
-    let report = match run.experiment {
-        ExperimentKind::AttackNaive => {
-            let strategy = if quick {
-                NaiveLaunch {
-                    services: 3,
-                    instances_per_service: 400,
-                    ..NaiveLaunch::default()
-                }
-            } else {
-                NaiveLaunch::default()
-            };
-            strategy.run(&mut arena.world, arena.attacker)
-        }
-        _ => {
-            let strategy = if quick {
-                OptimizedLaunch {
-                    services: 3,
-                    launches_per_service: 4,
-                    instances_per_launch: 300,
-                    ..OptimizedLaunch::default()
-                }
-            } else {
-                OptimizedLaunch::default()
-            };
-            strategy.run(&mut arena.world, arena.attacker)
-        }
-    }
-    .expect("attack fleet fits the region");
+    let report = launch(&mut arena.world, arena.attacker).expect("attack fleet fits the region");
     let coverage = measure_coverage(&arena.world, &report.live_instances, &arena.victims);
     // Confirm one ground-truth co-located attacker–victim pair over the
     // run's verification channel: the fingerprint pipeline only *suspects*
@@ -540,7 +361,8 @@ fn attack_trial(
         verified_at_least_one,
     };
     let virtual_s = arena.world.now().as_secs_f64();
-    (Some(virtual_s), val(&trial))
+    let payload = serde_json::to_value(&trial).expect("attack trial serializes");
+    (Some(virtual_s), payload)
 }
 
 /// The first ground-truth co-located attacker–victim pair: the first
@@ -570,6 +392,7 @@ fn first_co_located_pair(
 mod tests {
     use super::*;
     use crate::spec::CampaignSpec;
+    use eaao_core::strategy::NaiveLaunch;
 
     fn quick_run(experiment: &str) -> RunSpec {
         let spec = CampaignSpec {

@@ -14,6 +14,8 @@ use eaao_core::verify::VerifierChannel;
 use eaao_orchestrator::platform::PlatformKind;
 use serde::{Serialize, Value};
 
+use crate::registry::{Experiment, EXPERIMENTS};
+
 /// The paper regions a campaign may sweep.
 pub const KNOWN_REGIONS: [&str; 3] = ["us-east1", "us-central1", "us-west1"];
 
@@ -31,164 +33,6 @@ pub const KNOWN_PLATFORMS: [&str; 3] = ["cloudrun", "lambda-like", "azure-like"]
 /// [`VerifierChannel`]).
 pub const KNOWN_VERIFIERS: [&str; 2] = ["rng-ctest", "membus-lockcheck"];
 
-/// Every experiment a campaign can schedule: the `repro` binary's drivers
-/// plus the campaign-native co-location attack trials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ExperimentKind {
-    /// Fig. 4 — Gen 1 fingerprint accuracy vs `p_boot`.
-    Fig4,
-    /// Fig. 5 — fingerprint expiration CDF.
-    Fig5,
-    /// Fig. 6 — idle-instance termination curve.
-    Fig6,
-    /// Fig. 7 — base hosts across 45-minute launches.
-    Fig7,
-    /// Fig. 8 — base hosts across accounts.
-    Fig8,
-    /// Fig. 9 — helper hosts at 10-minute intervals.
-    Fig9,
-    /// Fig. 10 — helper-host footprint across episodes.
-    Fig10,
-    /// Fig. 11a — victim coverage vs victim count.
-    Fig11a,
-    /// Fig. 11b — victim coverage vs victim size.
-    Fig11b,
-    /// Fig. 12 — cluster-size estimation.
-    Fig12,
-    /// §4.2 — measured-TSC-frequency scatter.
-    Sec42,
-    /// §4.3 — verification cost, pairwise vs hierarchical.
-    Sec43,
-    /// §4.5 — Gen 2 fingerprint accuracy.
-    Sec45,
-    /// §5.2 — Strategy 1 (naive) coverage and cost.
-    Strategy1,
-    /// §5.2 — Strategy 2 in the Gen 2 environment.
-    Gen2,
-    /// §6 — mitigations (sweeps all three internally).
-    Sec6,
-    /// §5.2 — attack optimizations.
-    Opt,
-    /// §5.1 — other factors.
-    Factors,
-    /// Campaign-native single co-location attack trial, naive strategy.
-    AttackNaive,
-    /// Campaign-native single co-location attack trial, optimized strategy.
-    AttackOptimized,
-    /// Verifier-channel threshold calibration (ROC sweep) for the run's
-    /// platform × verifier cell.
-    Calibration,
-}
-
-impl ExperimentKind {
-    /// All kinds, in canonical order.
-    pub const ALL: [ExperimentKind; 21] = [
-        ExperimentKind::Fig4,
-        ExperimentKind::Fig5,
-        ExperimentKind::Fig6,
-        ExperimentKind::Fig7,
-        ExperimentKind::Fig8,
-        ExperimentKind::Fig9,
-        ExperimentKind::Fig10,
-        ExperimentKind::Fig11a,
-        ExperimentKind::Fig11b,
-        ExperimentKind::Fig12,
-        ExperimentKind::Sec42,
-        ExperimentKind::Sec43,
-        ExperimentKind::Sec45,
-        ExperimentKind::Strategy1,
-        ExperimentKind::Gen2,
-        ExperimentKind::Sec6,
-        ExperimentKind::Opt,
-        ExperimentKind::Factors,
-        ExperimentKind::AttackNaive,
-        ExperimentKind::AttackOptimized,
-        ExperimentKind::Calibration,
-    ];
-
-    /// The spec-file / CLI name (matches the `repro` binary's names).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExperimentKind::Fig4 => "fig4",
-            ExperimentKind::Fig5 => "fig5",
-            ExperimentKind::Fig6 => "fig6",
-            ExperimentKind::Fig7 => "fig7",
-            ExperimentKind::Fig8 => "fig8",
-            ExperimentKind::Fig9 => "fig9",
-            ExperimentKind::Fig10 => "fig10",
-            ExperimentKind::Fig11a => "fig11a",
-            ExperimentKind::Fig11b => "fig11b",
-            ExperimentKind::Fig12 => "fig12",
-            ExperimentKind::Sec42 => "sec4.2",
-            ExperimentKind::Sec43 => "sec4.3",
-            ExperimentKind::Sec45 => "sec4.5",
-            ExperimentKind::Strategy1 => "strategy1",
-            ExperimentKind::Gen2 => "gen2",
-            ExperimentKind::Sec6 => "sec6",
-            ExperimentKind::Opt => "opt",
-            ExperimentKind::Factors => "factors",
-            ExperimentKind::AttackNaive => "attack-naive",
-            ExperimentKind::AttackOptimized => "attack-optimized",
-            ExperimentKind::Calibration => "calibration",
-        }
-    }
-
-    /// Parses a spec-file / CLI name.
-    pub fn parse(name: &str) -> Option<ExperimentKind> {
-        ExperimentKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// Whether the experiment is parameterized by an execution-environment
-    /// generation. (`gen2` is excluded: it *is* the Gen 2 variant.)
-    pub fn supports_generation(self) -> bool {
-        matches!(
-            self,
-            ExperimentKind::Fig11a
-                | ExperimentKind::Fig11b
-                | ExperimentKind::AttackNaive
-                | ExperimentKind::AttackOptimized
-        )
-    }
-
-    /// Whether the experiment is parameterized by a platform TSC
-    /// mitigation. (`sec6` is excluded: it sweeps all three internally.)
-    pub fn supports_mitigation(self) -> bool {
-        matches!(
-            self,
-            ExperimentKind::AttackNaive | ExperimentKind::AttackOptimized
-        )
-    }
-
-    /// Whether the experiment is parameterized by a placement-policy
-    /// platform. The figure/section drivers pin Cloud Run — they
-    /// reproduce measurements *of* Cloud Run — so only the
-    /// campaign-native trials and the calibration sweep take the axis.
-    pub fn supports_platform(self) -> bool {
-        matches!(
-            self,
-            ExperimentKind::AttackNaive
-                | ExperimentKind::AttackOptimized
-                | ExperimentKind::Calibration
-        )
-    }
-
-    /// Whether the experiment is parameterized by a verification channel.
-    pub fn supports_verifier(self) -> bool {
-        matches!(
-            self,
-            ExperimentKind::AttackNaive
-                | ExperimentKind::AttackOptimized
-                | ExperimentKind::Calibration
-        )
-    }
-}
-
-impl fmt::Display for ExperimentKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// A declarative campaign: experiments × regions × generations ×
 /// mitigations × platforms × verifiers × seeds.
 ///
@@ -199,7 +43,7 @@ impl fmt::Display for ExperimentKind {
 pub struct CampaignSpec {
     /// Campaign name (used in the output manifest).
     pub name: String,
-    /// Experiments to run; see [`ExperimentKind`] for the names.
+    /// Experiments to run; see [`EXPERIMENTS`] for the names.
     pub experiments: Vec<String>,
     /// Regions to sweep.
     pub regions: Vec<String>,
@@ -239,7 +83,7 @@ impl Default for CampaignSpec {
 /// A problem with a campaign specification.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
-    /// An experiment name is not one of [`ExperimentKind::ALL`].
+    /// An experiment name is not one of [`EXPERIMENTS`].
     UnknownExperiment(String),
     /// A region name is not one of [`KNOWN_REGIONS`].
     UnknownRegion(String),
@@ -264,7 +108,7 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::UnknownExperiment(name) => {
-                let known: Vec<&str> = ExperimentKind::ALL.iter().map(|k| k.name()).collect();
+                let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
                 write!(
                     f,
                     "unknown experiment {name:?}; known experiments: {}",
@@ -318,20 +162,11 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 fn parse_generation(name: &str) -> Result<Generation, SpecError> {
-    match name {
-        "gen1" => Ok(Generation::Gen1),
-        "gen2" => Ok(Generation::Gen2),
-        other => Err(SpecError::UnknownGeneration(other.to_owned())),
-    }
+    Generation::parse(name).ok_or_else(|| SpecError::UnknownGeneration(name.to_owned()))
 }
 
 fn parse_mitigation(name: &str) -> Result<TscMitigation, SpecError> {
-    match name {
-        "none" => Ok(TscMitigation::None),
-        "trap-and-emulate" => Ok(TscMitigation::TrapAndEmulate),
-        "offset-and-scale" => Ok(TscMitigation::OffsetAndScale),
-        other => Err(SpecError::UnknownMitigation(other.to_owned())),
-    }
+    TscMitigation::parse(name).ok_or_else(|| SpecError::UnknownMitigation(name.to_owned()))
 }
 
 fn parse_platform(name: &str) -> Result<PlatformKind, SpecError> {
@@ -343,12 +178,23 @@ fn parse_verifier(name: &str) -> Result<VerifierChannel, SpecError> {
 }
 
 impl CampaignSpec {
-    /// Parses a spec from its JSON form. Missing fields take their
-    /// [`Default`] values; `experiments` is the only required field.
+    /// Parses a spec from its JSON form: an object whose keys are
+    /// [`CampaignSpec`] fields. Missing fields take their [`Default`]
+    /// values; `experiments` is the only required field.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::Parse`] for text that is not a JSON object,
+    /// a key that names no field, or a field of the wrong type.
     pub fn from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         let value: Value =
             serde_json::from_str(text).map_err(|e| SpecError::Parse(e.to_string()))?;
-        let mut spec = CampaignSpec::default();
+        let Value::Object(fields) = value else {
+            return Err(SpecError::Parse(format!(
+                "a spec is a JSON object, not {}",
+                value.kind()
+            )));
+        };
         let string_list = |value: &Value, field: &str| -> Result<Vec<String>, SpecError> {
             value
                 .as_array()
@@ -361,46 +207,47 @@ impl CampaignSpec {
                 })
                 .collect()
         };
-        if let Some(v) = value.get("name") {
-            spec.name = v
-                .as_str()
-                .ok_or_else(|| SpecError::Parse("name must be a string".to_owned()))?
-                .to_owned();
-        }
-        if let Some(v) = value.get("experiments") {
-            spec.experiments = string_list(v, "experiments")?;
-        }
-        if let Some(v) = value.get("regions") {
-            spec.regions = string_list(v, "regions")?;
-        }
-        if let Some(v) = value.get("generations") {
-            spec.generations = string_list(v, "generations")?;
-        }
-        if let Some(v) = value.get("mitigations") {
-            spec.mitigations = string_list(v, "mitigations")?;
-        }
-        if let Some(v) = value.get("platforms") {
-            spec.platforms = string_list(v, "platforms")?;
-        }
-        if let Some(v) = value.get("verifiers") {
-            spec.verifiers = string_list(v, "verifiers")?;
-        }
-        if let Some(v) = value.get("seeds") {
-            spec.seeds = v
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| SpecError::Parse("seeds must be a small integer".to_owned()))?;
-        }
-        if let Some(v) = value.get("seed") {
-            spec.seed = v
-                .as_u64()
-                .ok_or_else(|| SpecError::Parse("seed must be an integer".to_owned()))?;
-        }
-        if let Some(v) = value.get("quick") {
-            spec.quick = match v {
-                Value::Bool(b) => *b,
-                _ => return Err(SpecError::Parse("quick must be a boolean".to_owned())),
-            };
+        let mut spec = CampaignSpec::default();
+        for (field, v) in &fields {
+            match field.as_str() {
+                "name" => {
+                    spec.name = v
+                        .as_str()
+                        .ok_or_else(|| SpecError::Parse("name must be a string".to_owned()))?
+                        .to_owned();
+                }
+                "experiments" => spec.experiments = string_list(v, field)?,
+                "regions" => spec.regions = string_list(v, field)?,
+                "generations" => spec.generations = string_list(v, field)?,
+                "mitigations" => spec.mitigations = string_list(v, field)?,
+                "platforms" => spec.platforms = string_list(v, field)?,
+                "verifiers" => spec.verifiers = string_list(v, field)?,
+                "seeds" => {
+                    spec.seeds =
+                        v.as_u64()
+                            .and_then(|n| u32::try_from(n).ok())
+                            .ok_or_else(|| {
+                                SpecError::Parse("seeds must be a small integer".to_owned())
+                            })?;
+                }
+                "seed" => {
+                    spec.seed = v
+                        .as_u64()
+                        .ok_or_else(|| SpecError::Parse("seed must be an integer".to_owned()))?;
+                }
+                "quick" => {
+                    spec.quick = match v {
+                        Value::Bool(b) => *b,
+                        _ => return Err(SpecError::Parse("quick must be a boolean".to_owned())),
+                    };
+                }
+                unknown => {
+                    return Err(SpecError::Parse(format!(
+                        "unknown field {unknown:?}; a spec takes name, experiments, regions, \
+                         seeds, seed, generations, mitigations, platforms, verifiers, quick"
+                    )));
+                }
+            }
         }
         Ok(spec)
     }
@@ -461,26 +308,26 @@ impl CampaignSpec {
         let mut runs = Vec::new();
         let mut seen = std::collections::BTreeSet::new();
         for name in &self.experiments {
-            let kind = ExperimentKind::parse(name)
-                .ok_or_else(|| SpecError::UnknownExperiment(name.clone()))?;
+            let experiment =
+                Experiment::find(name).ok_or_else(|| SpecError::UnknownExperiment(name.clone()))?;
             // Collapse axes the experiment is not parameterized by, so no
             // two runs compute the same thing under different keys.
-            let gens: Vec<Option<Generation>> = if kind.supports_generation() {
+            let gens: Vec<Option<Generation>> = if experiment.axes.generation {
                 generations.iter().copied().map(Some).collect()
             } else {
                 vec![None]
             };
-            let mits: Vec<Option<TscMitigation>> = if kind.supports_mitigation() {
+            let mits: Vec<Option<TscMitigation>> = if experiment.axes.mitigation {
                 mitigations.iter().copied().map(Some).collect()
             } else {
                 vec![None]
             };
-            let plats: Vec<Option<PlatformKind>> = if kind.supports_platform() {
+            let plats: Vec<Option<PlatformKind>> = if experiment.axes.platform {
                 platforms.iter().copied().map(Some).collect()
             } else {
                 vec![None]
             };
-            let vers: Vec<Option<VerifierChannel>> = if kind.supports_verifier() {
+            let vers: Vec<Option<VerifierChannel>> = if experiment.axes.verifier {
                 verifiers.iter().copied().map(Some).collect()
             } else {
                 vec![None]
@@ -493,7 +340,7 @@ impl CampaignSpec {
                                 for seed_index in 0..self.seeds {
                                     let run = RunSpec {
                                         index: runs.len(),
-                                        experiment: kind,
+                                        experiment,
                                         region: region.clone(),
                                         generation,
                                         mitigation,
@@ -523,7 +370,7 @@ pub struct RunSpec {
     /// Position in the expanded grid (defines canonical output order).
     pub index: usize,
     /// The experiment to run.
-    pub experiment: ExperimentKind,
+    pub experiment: &'static Experiment,
     /// Region to run it in.
     pub region: String,
     /// Generation override, when the experiment supports one.
@@ -549,15 +396,8 @@ impl RunSpec {
             "{}/{}/{}/{}/{}/{}/s{}{}",
             self.experiment,
             self.region,
-            self.generation.map_or("-", |g| match g {
-                Generation::Gen1 => "gen1",
-                Generation::Gen2 => "gen2",
-            }),
-            self.mitigation.map_or("-", |m| match m {
-                TscMitigation::None => "none",
-                TscMitigation::TrapAndEmulate => "trap-and-emulate",
-                TscMitigation::OffsetAndScale => "offset-and-scale",
-            }),
+            self.generation.map_or("-", Generation::name),
+            self.mitigation.map_or("-", TscMitigation::name),
             self.platform.map_or("-", PlatformKind::name),
             self.verifier.map_or("-", VerifierChannel::name),
             self.seed_index,
@@ -582,15 +422,8 @@ impl RunSpec {
         format!(
             "{}/{}/{}/{}/s{}{}",
             self.region,
-            self.generation.map_or("-", |g| match g {
-                Generation::Gen1 => "gen1",
-                Generation::Gen2 => "gen2",
-            }),
-            self.mitigation.map_or("-", |m| match m {
-                TscMitigation::None => "none",
-                TscMitigation::TrapAndEmulate => "trap-and-emulate",
-                TscMitigation::OffsetAndScale => "offset-and-scale",
-            }),
+            self.generation.map_or("-", Generation::name),
+            self.mitigation.map_or("-", TscMitigation::name),
             self.platform.map_or("-", PlatformKind::name),
             self.seed_index,
             if self.quick { "/quick" } else { "" }
@@ -609,14 +442,6 @@ mod tests {
             seeds: 3,
             ..CampaignSpec::default()
         }
-    }
-
-    #[test]
-    fn every_kind_round_trips_its_name() {
-        for kind in ExperimentKind::ALL {
-            assert_eq!(ExperimentKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(ExperimentKind::parse("fig99"), None);
     }
 
     #[test]
@@ -658,6 +483,14 @@ mod tests {
 
     #[test]
     fn known_axis_names_match_the_canonical_enums() {
+        assert_eq!(
+            KNOWN_GENERATIONS.to_vec(),
+            Generation::ALL.map(Generation::name).to_vec()
+        );
+        assert_eq!(
+            KNOWN_MITIGATIONS.to_vec(),
+            TscMitigation::ALL.map(TscMitigation::name).to_vec()
+        );
         assert_eq!(
             KNOWN_PLATFORMS.to_vec(),
             PlatformKind::ALL.map(PlatformKind::name).to_vec()
@@ -724,6 +557,27 @@ mod tests {
 
         assert!(CampaignSpec::from_json("not json").is_err());
         assert!(CampaignSpec::from_json(r#"{"experiments": "fig6"}"#).is_err());
+    }
+
+    #[test]
+    fn json_rejects_non_objects_and_unknown_keys() {
+        for text in [r#"["fig6"]"#, r#""fig6""#, "3", "null"] {
+            assert!(
+                matches!(CampaignSpec::from_json(text), Err(SpecError::Parse(_))),
+                "accepted {text}"
+            );
+        }
+        // A typo must not silently fall back to a default: "region" and
+        // "sedes" would otherwise run one us-east1 cell.
+        let typo = r#"{"experiments":["fig6"],"region":["us-west1"],"sedes":3}"#;
+        let Err(SpecError::Parse(message)) = CampaignSpec::from_json(typo) else {
+            panic!("a misspelled field was accepted");
+        };
+        assert!(message.contains("\"region\""), "{message}");
+        // Every field the spec serializes parses back.
+        let spec = base_spec();
+        let text = serde_json::to_string(&spec).expect("serializes");
+        assert_eq!(CampaignSpec::from_json(&text).expect("parses"), spec);
     }
 
     #[test]

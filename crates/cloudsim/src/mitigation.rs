@@ -40,6 +40,28 @@ pub enum TscMitigation {
 }
 
 impl TscMitigation {
+    /// Every mitigation, in canonical grid order.
+    pub const ALL: [TscMitigation; 3] = [
+        TscMitigation::None,
+        TscMitigation::TrapAndEmulate,
+        TscMitigation::OffsetAndScale,
+    ];
+
+    /// The canonical grid-axis name (`none`, `trap-and-emulate`,
+    /// `offset-and-scale`).
+    pub fn name(self) -> &'static str {
+        match self {
+            TscMitigation::None => "none",
+            TscMitigation::TrapAndEmulate => "trap-and-emulate",
+            TscMitigation::OffsetAndScale => "offset-and-scale",
+        }
+    }
+
+    /// Parses a canonical name; `None` for anything unknown.
+    pub fn parse(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|m| m.name() == name)
+    }
+
     /// Wall-clock cost of one guest timer read under this mitigation.
     ///
     /// `rdtsc` retires in a few cycles (~10 ns with serialization);

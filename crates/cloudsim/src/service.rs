@@ -20,6 +20,24 @@ pub enum Generation {
     Gen2,
 }
 
+impl Generation {
+    /// Every generation, in canonical grid order.
+    pub const ALL: [Generation; 2] = [Generation::Gen1, Generation::Gen2];
+
+    /// The canonical grid-axis name (`gen1`, `gen2`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Generation::Gen1 => "gen1",
+            Generation::Gen2 => "gen2",
+        }
+    }
+
+    /// Parses a canonical name; `None` for anything unknown.
+    pub fn parse(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|g| g.name() == name)
+    }
+}
+
 /// Container resource size (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum ContainerSize {

@@ -174,6 +174,11 @@ fn a_bad_spec_and_a_bad_out_name_are_typed_rejections() {
         ),
         ("{not json", None, "spec"),
         (
+            r#"{"experiments":["fig6"],"region":["us-west1"],"sedes":3}"#,
+            None,
+            "spec",
+        ),
+        (
             r#"{"name":"x","experiments":["fig6"],"quick":true}"#,
             Some("../escape"),
             "spec",
