@@ -15,8 +15,8 @@
 //! paper's probe catches to timestamp terminations (Figure 6).
 //!
 //! An instance's [`Sandbox`] is built the first time guest code runs in it,
-//! from the private clock stream forked for it at creation: most instances
-//! an attack launches are killed without ever running a probe.
+//! from the private clock-stream seed forked for it at creation: most
+//! instances an attack launches are killed without ever running a probe.
 
 use eaao_simcore::rng::SimRng;
 use eaao_simcore::time::{SimDuration, SimTime};
@@ -37,6 +37,10 @@ pub enum InstanceState {
 }
 
 /// A container instance.
+///
+/// A world registers one record per instance it ever creates, so the
+/// record is kept small: 80 bytes, with the sandbox boxed and built on
+/// first use.
 #[derive(Debug, Clone)]
 pub struct ContainerInstance {
     id: InstanceId,
@@ -45,28 +49,26 @@ pub struct ContainerInstance {
     host: HostId,
     size: ContainerSize,
     generation: Generation,
-    /// The sandbox's clock stream, forked at creation
-    /// ([`Sandbox::fork_clock_stream`]).
-    clock_stream: SimRng,
+    state: InstanceState,
+    /// The seed of the sandbox's clock stream, forked at creation
+    /// ([`Sandbox::fork_clock_seed`]).
+    clock_seed: u64,
     /// The sandbox, once guest code has run.
     sandbox: Option<Box<Sandbox>>,
-    state: InstanceState,
     created_at: SimTime,
-    /// When the current activity period started (if active).
-    active_since: Option<SimTime>,
-    /// When the instance last went idle (if idle).
-    idle_since: Option<SimTime>,
-    /// Total billed active time.
+    /// When the current state began: the start of the open activity
+    /// period if active, when the instance went idle if idle, SIGTERM
+    /// delivery if terminated.
+    since: SimTime,
+    /// Total billed active time of the closed activity periods.
     active_total: SimDuration,
-    /// SIGTERM delivery time, recorded at termination.
-    sigterm_at: Option<SimTime>,
 }
 
 impl ContainerInstance {
     /// Creates an instance in the `Active` state (it starts by serving the
-    /// request that triggered its creation). `clock_stream` is the
-    /// sandbox's clock stream, forked off the world's RNG by
-    /// [`Sandbox::fork_clock_stream`].
+    /// request that triggered its creation). `clock_seed` seeds the
+    /// sandbox's clock stream; it is forked off the world's RNG by
+    /// [`Sandbox::fork_clock_seed`].
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the record
     pub fn new(
         id: InstanceId,
@@ -75,7 +77,7 @@ impl ContainerInstance {
         host: HostId,
         size: ContainerSize,
         generation: Generation,
-        clock_stream: SimRng,
+        clock_seed: u64,
         now: SimTime,
     ) -> Self {
         ContainerInstance {
@@ -85,14 +87,12 @@ impl ContainerInstance {
             host,
             size,
             generation,
-            clock_stream,
-            sandbox: None,
             state: InstanceState::Active,
+            clock_seed,
+            sandbox: None,
             created_at: now,
-            active_since: Some(now),
-            idle_since: None,
+            since: now,
             active_total: SimDuration::ZERO,
-            sigterm_at: None,
         }
     }
 
@@ -138,12 +138,12 @@ impl ContainerInstance {
 
     /// When the instance went idle, if it is idle.
     pub fn idle_since(&self) -> Option<SimTime> {
-        self.idle_since
+        (self.state == InstanceState::Idle).then_some(self.since)
     }
 
     /// When SIGTERM was delivered, if terminated.
     pub fn sigterm_at(&self) -> Option<SimTime> {
-        self.sigterm_at
+        (self.state == InstanceState::Terminated).then_some(self.since)
     }
 
     /// Whether the instance is alive (active or idle).
@@ -153,8 +153,8 @@ impl ContainerInstance {
 
     /// Mutable access to the sandbox, for running attacker code inside.
     /// The first call builds it: `build` receives the instance's clock
-    /// stream and must build the sandbox for the host and creation time
-    /// of this instance.
+    /// stream, seeded from its clock seed, and must build the sandbox for
+    /// the host and creation time of this instance.
     ///
     /// # Panics
     ///
@@ -166,15 +166,15 @@ impl ContainerInstance {
             "instance {} is terminated; cannot execute code",
             self.id
         );
-        let clock_stream = &self.clock_stream;
+        let clock_seed = self.clock_seed;
         self.sandbox
-            .get_or_insert_with(|| Box::new(build(clock_stream.clone())))
+            .get_or_insert_with(|| Box::new(build(SimRng::seed_from(clock_seed))))
     }
 
     /// Total billed active time so far (including the open period at `now`).
     pub fn billed_active_time(&self, now: SimTime) -> SimDuration {
-        match self.active_since {
-            Some(start) => self.active_total + now.duration_since(start),
+        match self.open_active_period(now) {
+            Some(open) => self.active_total + open,
             None => self.active_total,
         }
     }
@@ -182,7 +182,7 @@ impl ContainerInstance {
     /// The currently open active period at `now`, if the instance is
     /// active — time already consumed but not yet settled into billing.
     pub fn open_active_period(&self, now: SimTime) -> Option<SimDuration> {
-        self.active_since.map(|start| now.duration_since(start))
+        (self.state == InstanceState::Active).then(|| now.duration_since(self.since))
     }
 
     /// Transitions to idle at `now` (connection closed). Returns the length
@@ -199,14 +199,10 @@ impl ContainerInstance {
             self.id,
             self.state
         );
-        let start = self
-            .active_since
-            .take()
-            .expect("active instances track start");
-        let period = now.duration_since(start);
+        let period = now.duration_since(self.since);
         self.active_total += period;
         self.state = InstanceState::Idle;
-        self.idle_since = Some(now);
+        self.since = now;
         period
     }
 
@@ -224,8 +220,7 @@ impl ContainerInstance {
             self.state
         );
         self.state = InstanceState::Active;
-        self.active_since = Some(now);
-        self.idle_since = None;
+        self.since = now;
     }
 
     /// Terminates the instance at `now`, delivering SIGTERM. Returns the
@@ -244,16 +239,12 @@ impl ContainerInstance {
             "instance {} terminated twice",
             self.id
         );
-        let closed = self
-            .active_since
-            .take()
-            .map(|start| now.duration_since(start));
+        let closed = self.open_active_period(now);
         if let Some(period) = closed {
             self.active_total += period;
         }
         self.state = InstanceState::Terminated;
-        self.sigterm_at = Some(now);
-        self.idle_since = None;
+        self.since = now;
         closed
     }
 }
@@ -299,7 +290,7 @@ mod tests {
             HostId::from_raw(0),
             ContainerSize::Small,
             Generation::Gen1,
-            Sandbox::fork_clock_stream(Generation::Gen1, &mut SimRng::seed_from(2)),
+            Sandbox::fork_clock_seed(Generation::Gen1, &mut SimRng::seed_from(2)),
             now,
         )
     }
@@ -357,6 +348,42 @@ mod tests {
             i.billed_active_time(SimTime::from_secs(500)),
             SimDuration::from_secs(40)
         );
+    }
+
+    #[test]
+    fn the_record_stays_within_80_bytes() {
+        assert!(
+            std::mem::size_of::<ContainerInstance>() <= 80,
+            "{} bytes",
+            std::mem::size_of::<ContainerInstance>()
+        );
+    }
+
+    #[test]
+    fn one_timestamp_follows_the_lifecycle() {
+        let mut i = test_instance(SimTime::from_secs(10));
+        let at = SimTime::from_secs;
+        let secs = SimDuration::from_secs;
+        // Active since creation.
+        assert_eq!((i.idle_since(), i.sigterm_at()), (None, None));
+        assert_eq!(i.open_active_period(at(25)), Some(secs(15)));
+        assert_eq!(i.billed_active_time(at(25)), secs(15));
+        // Idle: the closed period is billed, nothing stays open.
+        assert_eq!(i.go_idle(at(30)), secs(20));
+        assert_eq!((i.idle_since(), i.sigterm_at()), (Some(at(30)), None));
+        assert_eq!(i.open_active_period(at(50)), None);
+        assert_eq!(i.billed_active_time(at(50)), secs(20));
+        // Active again: a fresh period opens at reuse.
+        i.reactivate(at(60));
+        assert_eq!((i.idle_since(), i.sigterm_at()), (None, None));
+        assert_eq!(i.open_active_period(at(65)), Some(secs(5)));
+        assert_eq!(i.billed_active_time(at(65)), secs(25));
+        // Terminated: the open period closes and SIGTERM is stamped.
+        assert_eq!(i.terminate(at(70)), Some(secs(10)));
+        assert_eq!((i.idle_since(), i.sigterm_at()), (None, Some(at(70))));
+        assert_eq!(i.open_active_period(at(90)), None);
+        assert_eq!(i.billed_active_time(at(90)), secs(30));
+        assert_eq!(i.created_at(), at(10));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   host TSC frequency to the guest kernel (`tsc_khz`), where a root guest
 //!   user can read it (Section 4.5).
 
-use eaao_simcore::rng::SimRng;
+use eaao_simcore::rng::{label_key, SimRng};
 use eaao_simcore::time::{SimDuration, SimTime};
 use eaao_tsc::boot::TscSample;
 use eaao_tsc::clocksource::SyscallClock;
@@ -31,6 +31,11 @@ use crate::service::Generation;
 /// The guest-visible model string in the Gen 2 environment, where `cpuid`
 /// is trapped and the host model concealed.
 pub const GEN2_VIRTUAL_MODEL: &str = "Intel(R) Xeon(R) Processor (virtualized)";
+
+/// The fork keys of the two generations' clock streams: the labels
+/// `gen1-clock` and `gen2-clock`, mixed at compile time.
+const GEN1_CLOCK_KEY: u64 = label_key("gen1-clock");
+const GEN2_CLOCK_KEY: u64 = label_key("gen2-clock");
 
 /// What an attacker program can do from inside its container.
 ///
@@ -290,14 +295,23 @@ pub enum Sandbox {
 }
 
 impl Sandbox {
-    /// Forks the private stream a `generation` sandbox's syscall clock
-    /// draws its noise from. This is the only draw building a sandbox
-    /// makes from `rng`.
-    pub fn fork_clock_stream(generation: Generation, rng: &mut SimRng) -> SimRng {
-        rng.fork_labeled(match generation {
-            Generation::Gen1 => "gen1-clock",
-            Generation::Gen2 => "gen2-clock",
+    /// Forks the seed of the private stream a `generation` sandbox's
+    /// syscall clock draws its noise from: the seed
+    /// [`SimRng::fork_labeled`] would build that stream from under the
+    /// label `gen1-clock` or `gen2-clock`. This is the only draw building
+    /// a sandbox makes from `rng`.
+    pub fn fork_clock_seed(generation: Generation, rng: &mut SimRng) -> u64 {
+        rng.fork_seed(match generation {
+            Generation::Gen1 => GEN1_CLOCK_KEY,
+            Generation::Gen2 => GEN2_CLOCK_KEY,
         })
+    }
+
+    /// Forks the clock stream itself: `SimRng::seed_from` of
+    /// [`Sandbox::fork_clock_seed`], the same seeding an instance applies
+    /// to its stored seed when its sandbox is first built.
+    pub fn fork_clock_stream(generation: Generation, rng: &mut SimRng) -> SimRng {
+        SimRng::seed_from(Sandbox::fork_clock_seed(generation, rng))
     }
 
     /// Builds the `generation` sandbox of an instance started on `host`
@@ -387,6 +401,7 @@ mod tests {
     use crate::host::{Host, HostGenConfig};
     use crate::ids::HostId;
     use eaao_tsc::freq::TscFrequency;
+    use rand::RngCore;
 
     fn test_host(seed: u64) -> Host {
         let mut rng = SimRng::seed_from(seed);
@@ -413,6 +428,23 @@ mod tests {
                 l3_kib: 39 * 1_024,
             },
         )
+    }
+
+    #[test]
+    fn clock_streams_fork_as_their_labels_would() {
+        for (generation, label) in [
+            (Generation::Gen1, "gen1-clock"),
+            (Generation::Gen2, "gen2-clock"),
+        ] {
+            let mut parent = SimRng::seed_from(17);
+            let mut stream = Sandbox::fork_clock_stream(generation, &mut parent);
+            let mut labeled_parent = SimRng::seed_from(17);
+            let mut labeled = labeled_parent.fork_labeled(label);
+            for _ in 0..16 {
+                assert_eq!(stream.next_u64(), labeled.next_u64(), "{label}");
+            }
+            assert_eq!(parent.next_u64(), labeled_parent.next_u64());
+        }
     }
 
     #[test]

@@ -213,7 +213,6 @@ impl CapacityIndex for ScanCapacity {
 mod tests {
     use super::*;
     use eaao_cloudsim::host::HostGenConfig;
-    use eaao_cloudsim::ids::InstanceId;
     use eaao_orchestrator::engine::IncrementalCapacity;
     use eaao_simcore::wsample::FenwickSampler;
 
@@ -254,19 +253,19 @@ mod tests {
         let mut slow = ScanCapacity::new(&dc, cells, 4);
 
         let h = HostId::from_raw(2);
-        for i in 0..3 {
-            occ.admit(h, InstanceId::from_raw(i));
+        for _ in 0..3 {
+            occ.admit(h);
             fast.on_admit(h, &occ);
             slow.on_admit(h, &occ);
             assert_eq!(fast.total_free(&occ), slow.total_free(&occ));
         }
 
-        occ.evict(h, InstanceId::from_raw(1));
+        occ.evict(h);
         fast.on_evict(h, &occ);
         assert_eq!(fast.total_free(&occ), slow.total_free(&occ));
 
         let displaced = occ.displace(h);
-        fast.on_host_reboot(h, displaced.len(), &occ);
+        fast.on_host_reboot(h, displaced, &occ);
         assert_eq!(fast.total_free(&occ), slow.total_free(&occ));
         for cell in 0..4 {
             assert_eq!(fast.cell_free(cell, &occ), slow.cell_free(cell, &occ));
@@ -281,8 +280,8 @@ mod tests {
         let cells = vec![0; 4];
         let mut slow = ScanCapacity::new(&dc, cells, 1);
         let h = HostId::from_raw(1);
-        for i in 0..3 {
-            occ.admit(h, InstanceId::from_raw(i));
+        for _ in 0..3 {
+            occ.admit(h);
             slow.on_admit(h, &occ);
         }
     }

@@ -24,6 +24,7 @@
 // tidy:allow(determinism) -- only `IncrementalCapacity::plan_taken`, a keyed-only overlay (see below)
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use eaao_cloudsim::datacenter::DataCenter;
@@ -31,7 +32,7 @@ use eaao_cloudsim::ids::HostId;
 use eaao_simcore::rng::SimRng;
 use eaao_simcore::wsample::{FenwickSampler, IndexSampler};
 
-use crate::occupancy::Occupancy;
+use crate::occupancy::{HostIdHasher, Occupancy};
 
 /// A placement/launch backend: the sampler and capacity index types the
 /// generic `World`/`CloudRunPolicy` machinery instantiates.
@@ -194,11 +195,12 @@ pub struct IncrementalCapacity {
     /// Sampler with weight `pop_fixed[h]` iff the *overlayed* free count
     /// of `h` is positive (committed free outside a planning session).
     avail: FenwickSampler,
-    /// Overlay: slots tentatively consumed per host this planning session.
-    /// Never iterated — probed by host index and drained via
-    /// `plan_suppressed`/`clear`, so its order cannot reach the trajectory.
+    /// Overlay: slots tentatively consumed per host this planning session,
+    /// under the occupancy's one-multiply host hasher. Never iterated —
+    /// probed by host and drained via `plan_suppressed`/`clear`, so its
+    /// order cannot reach the trajectory.
     // tidy:allow(determinism) -- keyed lookups only; iteration order provably unobservable
-    plan_taken: HashMap<usize, u32>,
+    plan_taken: HashMap<HostId, u32, BuildHasherDefault<HostIdHasher>>,
     /// Hosts whose `avail` weight was zeroed by the overlay only.
     plan_suppressed: Vec<usize>,
 }
@@ -232,7 +234,7 @@ impl IncrementalCapacity {
     fn take(&mut self, host: HostId, occupancy: &Occupancy) -> bool {
         let h = host.as_usize();
         let committed = self.free(host, occupancy);
-        let taken = self.plan_taken.entry(h).or_insert(0);
+        let taken = self.plan_taken.entry(host).or_insert(0);
         if *taken == committed {
             return false;
         }
@@ -274,7 +276,7 @@ impl CapacityIndex for IncrementalCapacity {
             pop_fixed,
             avail,
             // tidy:allow(determinism) -- keyed-only overlay, see field doc
-            plan_taken: HashMap::new(),
+            plan_taken: HashMap::default(),
             plan_suppressed: Vec::new(),
         }
     }
@@ -333,7 +335,7 @@ impl CapacityIndex for IncrementalCapacity {
     }
 
     fn plan_free(&self, host: HostId, occupancy: &Occupancy) -> usize {
-        let taken = self.plan_taken.get(&host.as_usize()).copied().unwrap_or(0);
+        let taken = self.plan_taken.get(&host).copied().unwrap_or(0);
         (self.free(host, occupancy) - taken) as usize
     }
 
@@ -394,41 +396,39 @@ mod tests {
 
     #[test]
     fn tracks_admit_evict_reboot() {
-        use eaao_cloudsim::ids::InstanceId;
         let dc = small_dc(1, 12, 4);
         let mut occ = Occupancy::default();
         let mut cap = index_for(&dc, 3);
         assert_mirrors(&cap, &dc, &occ);
 
         let h = HostId::from_raw(5);
-        for i in 0..4 {
+        for _ in 0..4 {
             assert!(cap.avail.weight(5) > 0, "a host with room is sampled");
-            occ.admit(h, InstanceId::from_raw(i));
+            occ.admit(h);
             cap.on_admit(h, &occ);
             assert_mirrors(&cap, &dc, &occ);
         }
         assert_eq!(cap.avail.weight(5), 0, "full host drops out of sampling");
 
-        occ.evict(h, InstanceId::from_raw(0));
+        occ.evict(h);
         cap.on_evict(h, &occ);
         assert_mirrors(&cap, &dc, &occ);
         assert!(cap.avail.weight(5) > 0, "freed host is sampleable again");
 
         let displaced = occ.displace(h);
-        cap.on_host_reboot(h, displaced.len(), &occ);
+        cap.on_host_reboot(h, displaced, &occ);
         assert_mirrors(&cap, &dc, &occ);
     }
 
     #[test]
     #[should_panic(expected = "admitting past capacity")]
     fn admit_beyond_capacity_panics() {
-        use eaao_cloudsim::ids::InstanceId;
         let dc = small_dc(1, 4, 2);
         let mut occ = Occupancy::default();
         let mut cap = index_for(&dc, 1);
         let h = HostId::from_raw(1);
-        for i in 0..3 {
-            occ.admit(h, InstanceId::from_raw(i));
+        for _ in 0..3 {
+            occ.admit(h);
             cap.on_admit(h, &occ);
         }
     }

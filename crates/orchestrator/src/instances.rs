@@ -133,7 +133,7 @@ mod tests {
                 HostId::from_raw((id.as_usize() % 7) as u32),
                 ContainerSize::Small,
                 Generation::Gen2,
-                Sandbox::fork_clock_stream(Generation::Gen2, &mut rng),
+                Sandbox::fork_clock_seed(Generation::Gen2, &mut rng),
                 SimTime::ZERO,
             ));
         }

@@ -1,30 +1,31 @@
-//! Host residency: which live instances run on which host.
+//! Host residency: how many live instances run on each host.
 //!
 //! Residency is mutable world state, so it lives here, next to the
 //! instance registry it mirrors, and not in the data center's hosts: those
 //! are immutable genesis data that every branch of a world shares. The
-//! capacity index reads per-host counts from it; a host reboot displaces
-//! the identities it records; the reference engine and the invariant
-//! tests scan it as ground truth.
+//! capacity index reads per-host counts from it, and the reference engine
+//! and the invariant tests scan it as ground truth. Which instances run on
+//! a host is the registry's answer (`ContainerInstance::host`); only a
+//! host reboot asks it, so the index keeps counts, not lists.
 
-// tidy:allow(determinism) -- `Occupancy::residents` is keyed by host and never iterated, so the map's order cannot reach a trajectory
+// tidy:allow(determinism) -- `Occupancy::counts` is keyed by host and never iterated, so the map's order cannot reach a trajectory
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use eaao_cloudsim::ids::{HostId, InstanceId};
+use eaao_cloudsim::ids::HostId;
 
-/// The world's residency index: every live instance, keyed by its host.
+/// The world's residency index: the live instance count of every occupied
+/// host, and their total.
 ///
 /// Only occupied hosts have an entry, so the index (and a branch's copy
-/// of it) costs O(live instances), like the instance registry itself,
-/// never O(pool).
+/// of it) costs O(occupied hosts), never O(pool). Admitting and evicting
+/// an instance is one counter update.
 #[derive(Debug, Clone, Default)]
 pub struct Occupancy {
-    /// The residents of every occupied host, ascending by id; empty hosts
-    /// have no entry. A host's count is the length of its list. Probed by
-    /// host only, so the map's order cannot reach a trajectory.
+    /// Live instances per occupied host; empty hosts have no entry.
+    /// Probed by host only, so the map's order cannot reach a trajectory.
     // tidy:allow(determinism) -- keyed lookups only, see the field doc
-    residents: HashMap<HostId, Vec<InstanceId>, BuildHasherDefault<HostIdHasher>>,
+    counts: HashMap<HostId, u32, BuildHasherDefault<HostIdHasher>>,
     /// Residents across all hosts.
     len: usize,
 }
@@ -35,7 +36,7 @@ pub struct Occupancy {
 /// land in distinct buckets, and the multiply mixes the high bits the
 /// table tags entries with.
 #[derive(Debug, Default)]
-struct HostIdHasher(u64);
+pub(crate) struct HostIdHasher(u64);
 
 impl Hasher for HostIdHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -54,65 +55,40 @@ impl Hasher for HostIdHasher {
 }
 
 impl Occupancy {
-    /// Places `instance` on `host`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instance is already resident there — an orchestrator
-    /// bug.
-    pub fn admit(&mut self, host: HostId, instance: InstanceId) {
-        let residents = self.residents.entry(host).or_default();
-        let at = residents.partition_point(|&i| i < instance);
-        assert!(
-            residents.get(at) != Some(&instance),
-            "instance {instance} already on host {host}"
-        );
-        // Fresh ids only grow, so this is nearly always a push.
-        residents.insert(at, instance);
+    /// Places one instance on `host`.
+    pub fn admit(&mut self, host: HostId) {
+        *self.counts.entry(host).or_insert(0) += 1;
         self.len += 1;
     }
 
-    /// Removes `instance` from `host`.
+    /// Removes one instance from `host`.
     ///
     /// # Panics
     ///
-    /// Panics if the instance is not resident there — an orchestrator
-    /// bug.
-    pub fn evict(&mut self, host: HostId, instance: InstanceId) {
-        let residents = self.residents.entry(host).or_default();
-        let at = residents.partition_point(|&i| i < instance);
-        assert!(
-            residents.get(at) == Some(&instance),
-            "instance {instance} not on host {host}"
-        );
-        residents.remove(at);
-        if residents.is_empty() {
-            self.residents.remove(&host);
+    /// Panics if no instance is resident there — an orchestrator bug.
+    pub fn evict(&mut self, host: HostId) {
+        let count = self
+            .counts
+            .get_mut(&host)
+            .expect("evicting from a host with no resident instance");
+        *count -= 1;
+        if *count == 0 {
+            self.counts.remove(&host);
         }
         self.len -= 1;
     }
 
-    /// Removes every resident of `host` (a reboot), returning them in
-    /// ascending id order.
-    pub fn displace(&mut self, host: HostId) -> Vec<InstanceId> {
-        let displaced = self.residents.remove(&host).unwrap_or_default();
-        self.len -= displaced.len();
+    /// Removes every resident of `host` (a reboot), returning how many
+    /// there were.
+    pub fn displace(&mut self, host: HostId) -> usize {
+        let displaced = self.counts.remove(&host).map_or(0, |n| n as usize);
+        self.len -= displaced;
         displaced
-    }
-
-    /// The residents of `host`, ascending by id.
-    pub fn residents_of(&self, host: HostId) -> &[InstanceId] {
-        self.residents.get(&host).map_or(&[], Vec::as_slice)
     }
 
     /// Number of instances resident on `host`.
     pub fn count(&self, host: HostId) -> usize {
-        self.residents_of(host).len()
-    }
-
-    /// Whether `instance` runs on `host`.
-    pub fn contains(&self, host: HostId, instance: InstanceId) -> bool {
-        self.residents_of(host).binary_search(&instance).is_ok()
+        self.counts.get(&host).map_or(0, |&n| n as usize)
     }
 
     /// Total resident instances across all hosts.
@@ -130,57 +106,53 @@ impl Occupancy {
 mod tests {
     use super::*;
 
-    fn ids(raw: &[u32]) -> Vec<InstanceId> {
-        raw.iter().copied().map(InstanceId::from_raw).collect()
-    }
-
     #[test]
     fn admit_evict_and_displace_track_residency() {
         let mut occ = Occupancy::default();
         let (h1, h2) = (HostId::from_raw(1), HostId::from_raw(2));
-        for raw in [7, 3, 9] {
-            occ.admit(h1, InstanceId::from_raw(raw));
+        for _ in 0..3 {
+            occ.admit(h1);
         }
-        occ.admit(h2, InstanceId::from_raw(4));
+        occ.admit(h2);
         assert_eq!(occ.len(), 4);
         assert_eq!(occ.count(h1), 3);
-        assert!(occ.contains(h1, InstanceId::from_raw(3)));
-        assert!(!occ.contains(h2, InstanceId::from_raw(3)));
-        occ.evict(h1, InstanceId::from_raw(9));
-        assert_eq!(occ.residents_of(h1), ids(&[3, 7]).as_slice());
-        // A reboot displaces one host's residents, ascending, and only them.
-        assert_eq!(occ.displace(h1), ids(&[3, 7]));
-        assert_eq!(occ.count(h1), 0);
-        assert_eq!(occ.residents_of(h2), ids(&[4]).as_slice());
-        assert_eq!(occ.displace(h1), ids(&[]));
+        occ.evict(h1);
+        assert_eq!((occ.count(h1), occ.len()), (2, 3));
+        // A reboot displaces one host's residents, and only them.
+        assert_eq!(occ.displace(h1), 2);
+        assert_eq!((occ.count(h1), occ.len()), (0, 1));
+        assert_eq!(occ.count(h2), 1);
+        assert_eq!(occ.displace(h1), 0);
+        assert_eq!(occ.len(), 1);
+    }
+
+    #[test]
+    fn an_emptied_host_leaves_no_entry() {
+        let mut occ = Occupancy::default();
+        let h = HostId::from_raw(8);
+        occ.admit(h);
+        occ.evict(h);
+        assert!(occ.is_empty());
+        assert!(occ.counts.is_empty());
     }
 
     #[test]
     fn clones_detach() {
         let mut occ = Occupancy::default();
         let h = HostId::from_raw(3);
-        occ.admit(h, InstanceId::from_raw(5));
-        occ.admit(h, InstanceId::from_raw(6));
+        occ.admit(h);
+        occ.admit(h);
         let mut branch = occ.clone();
         assert_eq!(branch.count(h), 2);
-        branch.evict(h, InstanceId::from_raw(5));
+        branch.evict(h);
         assert_eq!((branch.count(h), branch.len()), (1, 1));
         assert_eq!((occ.count(h), occ.len()), (2, 2));
-        assert_eq!(occ.residents_of(h), ids(&[5, 6]).as_slice());
     }
 
     #[test]
-    #[should_panic(expected = "already on host")]
-    fn double_admit_panics() {
-        let mut occ = Occupancy::default();
-        occ.admit(HostId::from_raw(0), InstanceId::from_raw(1));
-        occ.admit(HostId::from_raw(0), InstanceId::from_raw(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "not on host")]
+    #[should_panic(expected = "no resident instance")]
     fn evict_missing_panics() {
         let mut occ = Occupancy::default();
-        occ.evict(HostId::from_raw(0), InstanceId::from_raw(9));
+        occ.evict(HostId::from_raw(0));
     }
 }

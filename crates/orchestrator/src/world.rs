@@ -14,12 +14,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use eaao_cloudsim::account::{Account, Standing};
 use eaao_cloudsim::datacenter::DataCenter;
 use eaao_cloudsim::ids::{AccountId, HostId, InstanceId, ServiceId};
-use eaao_cloudsim::instance::{ContainerInstance, InstanceState};
+use eaao_cloudsim::instance::ContainerInstance;
 use eaao_cloudsim::pricing::{BillingMeter, Cost};
 use eaao_cloudsim::sandbox::Sandbox;
 use eaao_cloudsim::service::{Service, ServiceSpec};
 use eaao_obs as obs;
-use eaao_simcore::clock::SimClock;
 use eaao_simcore::dist::{Exponential, Sample};
 use eaao_simcore::events::EventQueue;
 use eaao_simcore::rng::SimRng;
@@ -95,9 +94,10 @@ enum WorldEvent {
 #[derive(Debug)]
 pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatformPolicy<E>> {
     region: RegionConfig,
-    clock: SimClock,
+    /// The simulation time; moved only by [`World::run_until`].
+    now: SimTime,
     dc: DataCenter,
-    /// Which live instance runs on which host.
+    /// How many live instances run on each host.
     occupancy: Occupancy,
     policy: P,
     /// Free-capacity index mirroring `occupancy`; maintained on every
@@ -129,16 +129,14 @@ pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatform
 // `Engine` trait already bounds `Clone`. Cloning is the fork primitive
 // behind [`World::snapshot`] and [`World::branch`]: the data center's
 // immutable genesis (and every host shard generated into it) is shared,
-// the index lanes are copy-on-write, and everything else (residency,
-// instances, event queue, RNG position) is copied so the two worlds
-// replay independently but identically from the fork point.
+// the index lanes are copy-on-write, and everything else (time,
+// residency, instances, event queue, RNG position) is copied so the two
+// worlds replay independently but identically from the fork point.
 impl<E: Engine, P: PlatformPolicy<E>> Clone for World<E, P> {
     fn clone(&self) -> Self {
         World {
             region: self.region.clone(),
-            // `SimClock::clone` shares time (the intra-world contract);
-            // a branched world must keep its own.
-            clock: self.clock.fork(),
+            now: self.now,
             dc: self.dc.clone(),
             occupancy: self.occupancy.clone(),
             policy: self.policy.clone(),
@@ -248,7 +246,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let capacity = E::Capacity::new(&dc, policy.host_cells(), policy.cell_count());
         let billing = BillingMeter::new(region.rates);
         World {
-            clock: SimClock::new(),
+            now: SimTime::ZERO,
             dc,
             occupancy: Occupancy::default(),
             policy,
@@ -305,7 +303,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let id = ServiceId::from_raw(self.next_service);
         self.next_service += 1;
         self.services
-            .insert(id, Service::new(id, account, spec, self.clock.now()));
+            .insert(id, Service::new(id, account, spec, self.now));
         self.demand.insert(
             id,
             DemandWindow::new(
@@ -322,7 +320,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     ///
     /// Panics if the service does not exist.
     pub fn rebuild_image(&mut self, service: ServiceId) {
-        let now = self.clock.now();
+        let now = self.now;
         self.services
             .get_mut(&service)
             .expect("unknown service")
@@ -340,7 +338,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     pub fn launch(&mut self, service: ServiceId, count: usize) -> Result<Launch, LaunchError> {
         let mut launch_span = obs::span("world.launch");
         launch_span.u64_field("requested", count as u64);
-        let now = self.clock.now();
+        let now = self.now;
         let svc = self
             .services
             .get(&service)
@@ -432,7 +430,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     }
 
     /// Creates one instance per plan entry — the batched path. Each
-    /// instance forks its sandbox's clock stream off the world RNG, and
+    /// instance forks its sandbox's clock seed off the world RNG, and
     /// [`with_guest`](World::with_guest) builds the sandbox from it on
     /// first use. Churn-restart events are scheduled in a single batch.
     fn create_instances(
@@ -446,14 +444,14 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let mut ids = Vec::with_capacity(plan.len());
         for &host in plan {
             let id = self.instances.next_id();
-            self.occupancy.admit(host, id);
+            self.occupancy.admit(host);
             self.capacity.on_admit(host, &self.occupancy);
             // Nothing reads the host here, but touching it keeps this
             // world's shard touch record, and so the
             // `cloudsim.hosts_generated` count campaign records carry,
             // independent of which instances ever run guest code.
             self.dc.host(host);
-            let clock_stream = Sandbox::fork_clock_stream(spec.generation, &mut self.rng);
+            let clock_seed = Sandbox::fork_clock_seed(spec.generation, &mut self.rng);
             self.instances.push(ContainerInstance::new(
                 id,
                 service,
@@ -461,7 +459,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 host,
                 spec.size,
                 spec.generation,
-                clock_stream,
+                clock_seed,
                 now,
             ));
             ids.push(id);
@@ -533,7 +531,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             ScaleAction::In(surplus) => {
                 obs::count("autoscaler.scale_in", 1);
                 obs::observe("autoscaler.scale_in_size", surplus as u64);
-                let now = self.clock.now();
+                let now = self.now;
                 // Newest instances drain first (they have the least warm
                 // state worth keeping).
                 let doomed: Vec<InstanceId> = active.iter().rev().take(surplus).copied().collect();
@@ -549,7 +547,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// Closes every connection of `service`: its active instances go idle
     /// and the reaper schedules their gradual termination (Figure 6).
     pub fn disconnect_all(&mut self, service: ServiceId) {
-        let now = self.clock.now();
+        let now = self.now;
         // Ascending-id order from the active index: reap-jitter RNG draws
         // happen in a deterministic order regardless of map layout.
         let active: Vec<InstanceId> = self
@@ -602,7 +600,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
 
     /// Advances simulated time by `d`, processing due events in order.
     pub fn advance(&mut self, d: SimDuration) {
-        let target = self.clock.now() + d;
+        let target = self.now + d;
         self.run_until(target);
     }
 
@@ -620,27 +618,28 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// sequence numbers in batch order, so the batched launch path cannot
     /// reorder ties either. Covered by `same_tick_event_ties_fire_fifo`.
     pub fn run_until(&mut self, target: SimTime) {
-        let start = self.clock.now();
+        let start = self.now;
         let mut processed = 0u64;
         while let Some(due) = self.events.next_due() {
             if due > target {
                 break;
             }
             let event = self.events.pop_due(due).expect("event is due");
-            self.clock.advance_to(event.due());
+            // Time never moves backwards: an already-due event fires now.
+            self.now = self.now.max(event.due());
             self.handle_event(*event.payload());
             processed += 1;
         }
-        self.clock.advance_to(target);
+        self.now = self.now.max(target);
         obs::count("world.events_processed", processed);
-        let advanced = self.clock.now().duration_since(start);
+        let advanced = self.now.duration_since(start);
         if advanced.as_nanos() > 0 {
             obs::count("world.sim_advanced_ns", advanced.as_nanos() as u64);
         }
     }
 
     fn handle_event(&mut self, event: WorldEvent) {
-        let now = self.clock.now();
+        let now = self.now;
         match event {
             WorldEvent::Reap {
                 instance,
@@ -649,7 +648,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 let Some(i) = self.instances.get(instance) else {
                     return;
                 };
-                if i.state() == InstanceState::Idle && i.idle_since() == Some(idle_since) {
+                if i.idle_since() == Some(idle_since) {
                     obs::count("world.instances_reaped", 1);
                     self.terminate_instance(instance);
                 }
@@ -676,21 +675,23 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                 obs::count("world.host_reboots", 1);
                 self.dc.reboot_host(host, now);
                 let displaced = self.occupancy.displace(host);
-                obs::count("world.instances_displaced", displaced.len() as u64);
-                for &id in &displaced {
-                    let instance = self.instances.get_mut(id).expect("resident exists");
-                    let service = instance.service();
-                    let idle_since = (instance.state() == InstanceState::Idle)
-                        .then(|| instance.idle_since())
-                        .flatten();
-                    let closed = instance.terminate(now);
-                    if let Some(period) = closed {
-                        self.billing.record(instance.size(), period);
+                obs::count("world.instances_displaced", displaced as u64);
+                if displaced > 0 {
+                    let residents = self.live_on(host);
+                    debug_assert_eq!(residents.len(), displaced, "residency out of sync");
+                    for id in residents {
+                        let instance = self.instances.get_mut(id).expect("resident exists");
+                        let service = instance.service();
+                        let idle_since = instance.idle_since();
+                        let closed = instance.terminate(now);
+                        if let Some(period) = closed {
+                            self.billing.record(instance.size(), period);
+                        }
+                        self.unindex(service, id, idle_since);
                     }
-                    self.unindex(service, id, idle_since);
                 }
                 self.capacity
-                    .on_host_reboot(host, displaced.len(), &self.occupancy);
+                    .on_host_reboot(host, displaced, &self.occupancy);
                 self.note_spend();
                 // Aggregate rate is hosts/mean ⇒ next sweep after
                 // Exp(mean / hosts).
@@ -707,26 +708,44 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     fn terminate_instance(&mut self, id: InstanceId) {
         let (service, idle_since) = self.retire(id);
         self.unindex(service, id, idle_since);
+        if idle_since.is_none() {
+            self.note_spend();
+        }
+    }
+
+    /// The live instances on `host`, ascending by id: a scan of the
+    /// service indexes, O(live instances). Only a host reboot asks, which
+    /// is why residency keeps counts rather than lists.
+    fn live_on(&self, host: HostId) -> Vec<InstanceId> {
+        let active = self.active_index.values().flatten().copied();
+        let idle = self.idle_index.values().flatten().map(|&(_, id)| id);
+        let mut ids: Vec<InstanceId> = active
+            .chain(idle)
+            .filter(|&id| {
+                let instance = self.instances.get(id).expect("indexed instances exist");
+                instance.host() == host
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Terminates a live instance, bills its open active period and frees
-    /// its host slot, leaving the service indexes to the caller. Returns
-    /// its service and, if it was idle, since when.
+    /// its host slot, leaving the service indexes and the spend gauge to
+    /// the caller. Returns its service and, if it was idle, since when;
+    /// an instance that was not idle was active, and its period was billed.
     fn retire(&mut self, id: InstanceId) -> (ServiceId, Option<SimTime>) {
-        let now = self.clock.now();
+        let now = self.now;
         let instance = self.instances.get_mut(id).expect("instance exists");
         let host = instance.host();
         let service = instance.service();
-        let idle_since = (instance.state() == InstanceState::Idle)
-            .then(|| instance.idle_since())
-            .flatten();
+        let idle_since = instance.idle_since();
         let closed = instance.terminate(now);
         let size = instance.size();
         if let Some(period) = closed {
             self.billing.record(size, period);
-            self.note_spend();
         }
-        self.occupancy.evict(host, id);
+        self.occupancy.evict(host);
         self.capacity.on_evict(host, &self.occupancy);
         (service, idle_since)
     }
@@ -783,8 +802,15 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             doomed.extend(idle.into_iter().map(|(_, id)| id));
         }
         doomed.sort_unstable();
+        let mut billed = false;
         for id in doomed {
-            self.retire(id);
+            let (_, idle_since) = self.retire(id);
+            billed |= idle_since.is_none();
+        }
+        // One gauge write for the whole bulk kill, as the last per-instance
+        // write would have left it.
+        if billed {
+            self.note_spend();
         }
     }
 
@@ -816,7 +842,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         let first = self.host_churn_mean.is_none();
         self.host_churn_mean = Some(mean);
         if first {
-            let now = self.clock.now();
+            let now = self.now;
             let delay = Exponential::from_mean(mean.as_secs_f64() / self.dc.len() as f64)
                 .sample(&mut self.rng);
             self.events.schedule(
@@ -834,7 +860,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// current simulation time.
     ///
     /// The first call on an instance builds its sandbox, from the clock
-    /// stream forked for it at creation, its host's record and CPU model,
+    /// seed forked for it at creation, its host's record and CPU model,
     /// the region's TSC mitigation and its creation time. The host cannot
     /// have changed since the instance was created: a host reboot
     /// terminates every instance on it.
@@ -847,7 +873,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         id: InstanceId,
         body: impl FnOnce(&mut Sandbox, SimTime) -> R,
     ) -> Result<R, GuestError> {
-        let now = self.clock.now();
+        let now = self.now;
         let instance = self
             .instances
             .get_mut(id)
@@ -1063,7 +1089,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.now
     }
 
     /// The region configuration.
@@ -1076,7 +1102,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         &self.dc
     }
 
-    /// **Ground truth**: which live instance runs on which host.
+    /// **Ground truth**: how many live instances run on each host.
     pub fn occupancy(&self) -> &Occupancy {
         &self.occupancy
     }
@@ -1148,7 +1174,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// Total billed cost so far, including active periods that are still
     /// open (accrued but not yet settled by a disconnect or termination).
     pub fn billed(&self) -> Cost {
-        let now = self.clock.now();
+        let now = self.now;
         let rates = self.region.rates;
         let open: Cost = self
             .instances
@@ -1164,7 +1190,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// The bill of one account so far (accrued active time of all its
     /// instances, open periods included) — what that customer would pay.
     pub fn billed_for(&self, account: AccountId) -> Cost {
-        let now = self.clock.now();
+        let now = self.now;
         let rates = self.region.rates;
         self.instances
             .iter()
@@ -1219,6 +1245,7 @@ mod tests {
     use super::*;
     use crate::config::RegionConfig;
     use eaao_cloudsim::cpu::CpuidInfo;
+    use eaao_cloudsim::instance::InstanceState;
     use eaao_cloudsim::mitigation::TscMitigation;
     use eaao_cloudsim::rng_unit::is_positive;
     use eaao_cloudsim::sandbox::{Gen1Sandbox, Gen2Sandbox, GuestEnv};
@@ -1470,11 +1497,186 @@ mod tests {
             .filter(|h| h.boot_time() > SimTime::ZERO)
             .count();
         assert!(rebooted > 30, "only {rebooted} hosts rebooted");
-        // Displaced instances were terminated, not leaked.
-        for id in world.alive_instances_of(service) {
-            let host = world.host_of(id);
-            assert!(world.occupancy().contains(host, id));
+        // Displaced instances were terminated, not leaked: residency counts
+        // exactly the live instances the registry places on each host.
+        assert_residency_mirrors_registry(&world, &[service]);
+    }
+
+    /// Every host's residency count equals the number of live instances
+    /// the registry places on it, and the total equals the live total.
+    fn assert_residency_mirrors_registry(world: &World, services: &[ServiceId]) {
+        let mut per_host: BTreeMap<HostId, usize> = BTreeMap::new();
+        for &service in services {
+            for id in world.alive_instances_of(service) {
+                *per_host.entry(world.host_of(id)).or_default() += 1;
+            }
         }
+        for (&host, &live) in &per_host {
+            assert_eq!(world.occupancy().count(host), live, "host {host}");
+        }
+        assert_eq!(world.occupancy().len(), per_host.values().sum::<usize>());
+    }
+
+    /// Arms a maintenance sweep, due now, that reboots `mark`. The sweep
+    /// picks its host with the next `below(pool)` draw, so this burns
+    /// draws until that draw is `mark`.
+    fn arm_reboot_sweep(world: &mut World, mark: HostId) {
+        let pool = world.dc.len() as u64;
+        while world.rng.clone().below(pool) != u64::from(mark.as_raw()) {
+            world.rng.unit_f64();
+        }
+        world.host_churn_mean = Some(SimDuration::from_days(365));
+        world.events.schedule(world.now(), WorldEvent::RebootSweep);
+    }
+
+    /// Runs the armed sweep; returns the `world.instances_displaced` count.
+    fn fire_reboot_sweep(world: &mut World) -> Option<u64> {
+        let collector = eaao_obs::Collector::new();
+        let now = world.now();
+        eaao_obs::with_instrument(collector.clone(), || world.run_until(now));
+        let counters = collector.snapshot().counters;
+        counters.get("world.instances_displaced").copied()
+    }
+
+    /// Two services on a two-host pool, each with active and idle
+    /// instances on one host (the idle ones inside their grace period),
+    /// and every active period a different length; the other host is
+    /// empty. Returns the services, the occupied host and its instances,
+    /// ascending.
+    fn occupied_host_world() -> (World, [ServiceId; 2], HostId, Vec<InstanceId>) {
+        let mut region = RegionConfig::us_west1().with_hosts(2);
+        region.host_config.capacity = 40;
+        let mut world = World::new(region, 25);
+        let account = world.create_account();
+        let spec = ServiceSpec::default().with_max_instances(100);
+        let services = [
+            world.deploy_service(account, spec),
+            world.deploy_service(account, spec),
+        ];
+        let mut launched: Vec<InstanceId> = Vec::new();
+        for step in 0..40u64 {
+            let service = services[(step % 2) as usize];
+            let id = world.launch(service, 1).expect("fits").instances()[0];
+            if launched
+                .first()
+                .is_none_or(|&first| world.co_located(first, id))
+            {
+                launched.push(id);
+            } else {
+                world.kill_instance(id);
+            }
+            // Irregular spacing, so the active periods' float sums depend
+            // on their order.
+            world.advance(SimDuration::from_nanos(
+                1_337_000_000 + 71_234_567 * step as i64 + 12_345 * (step * step) as i64,
+            ));
+            if launched.len() == 12 {
+                break;
+            }
+        }
+        assert_eq!(launched.len(), 12, "one host drew a dozen instances");
+        let host = world.host_of(launched[0]);
+        // Two of each service's instances go idle: scale-in idles the
+        // newest.
+        for service in services {
+            let live = world.alive_count(service);
+            world.set_load(service, live - 2).expect("fits");
+        }
+        world.advance(SimDuration::from_secs(5));
+        (world, services, host, launched)
+    }
+
+    #[test]
+    fn a_reboot_terminates_exactly_the_hosts_live_instances_in_id_order() {
+        let (mut world, services, host, launched) = occupied_host_world();
+        assert_eq!(world.occupancy().count(host), 12);
+        let idle = |world: &World, service| {
+            launched
+                .iter()
+                .filter(|&&id| {
+                    let i = world.instance(id);
+                    i.service() == service && i.state() == InstanceState::Idle
+                })
+                .count()
+        };
+        assert!(
+            services.iter().all(|&s| idle(&world, s) > 0),
+            "idle on both"
+        );
+        let now = world.now();
+        let free_before = world.free_slots();
+        // The bill the reboot must leave: the open active periods recorded
+        // in ascending id order. Float sums depend on their order, and
+        // this scenario's periods tell the two id orders apart.
+        let replay = |ids: &mut dyn Iterator<Item = &InstanceId>| {
+            let mut meter = world.billing;
+            for &id in ids {
+                let i = world.instance(id);
+                if let Some(period) = i.open_active_period(now) {
+                    meter.record(i.size(), period);
+                }
+            }
+            meter
+        };
+        let expected = replay(&mut launched.iter());
+        let descending = replay(&mut launched.iter().rev());
+        assert_ne!(
+            expected.billed_instance_seconds().to_bits(),
+            descending.billed_instance_seconds().to_bits(),
+            "the scenario cannot tell the termination orders apart"
+        );
+
+        arm_reboot_sweep(&mut world, host);
+        assert_eq!(fire_reboot_sweep(&mut world), Some(12));
+
+        assert_eq!(world.data_center().host(host).boot_time(), now);
+        for &id in &launched {
+            assert_eq!(world.instance(id).sigterm_at(), Some(now), "{id}");
+        }
+        for service in services {
+            assert_eq!(world.alive_count(service), 0);
+        }
+        assert_eq!(world.occupancy().count(host), 0);
+        assert!(world.occupancy().is_empty());
+        assert_eq!(world.free_slots(), free_before + 12);
+        assert_eq!(
+            world.billing.total().as_usd().to_bits(),
+            expected.total().as_usd().to_bits()
+        );
+        assert_eq!(
+            world.billing.billed_instance_seconds().to_bits(),
+            expected.billed_instance_seconds().to_bits()
+        );
+    }
+
+    #[test]
+    fn a_reboot_of_an_empty_host_terminates_nothing() {
+        let (mut world, services, host, launched) = occupied_host_world();
+        let empty = HostId::from_raw(1 - host.as_raw());
+        let counts = |world: &World| [host, empty].map(|h| world.occupancy().count(h));
+        assert_eq!(counts(&world), [12, 0]);
+        let before = (
+            world.free_slots(),
+            world.billed(),
+            services.map(|s| world.alive_instances_of(s)),
+        );
+        let now = world.now();
+
+        arm_reboot_sweep(&mut world, empty);
+        assert_eq!(fire_reboot_sweep(&mut world), Some(0));
+
+        assert_eq!(world.data_center().host(empty).boot_time(), now);
+        assert!(launched.iter().all(|&id| world.instance(id).is_alive()));
+        assert_eq!(counts(&world), [12, 0]);
+        assert_eq!(world.occupancy().len(), 12);
+        assert_eq!(
+            (
+                world.free_slots(),
+                world.billed(),
+                services.map(|s| world.alive_instances_of(s)),
+            ),
+            before
+        );
     }
 
     #[test]

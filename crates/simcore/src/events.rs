@@ -2,13 +2,11 @@
 //!
 //! The orchestrator schedules future actions (idle-instance termination,
 //! demand-window expiry, host maintenance reboots) as events on this queue.
-//! The experiment driver pops due events while advancing the [`SimClock`].
+//! The world pops due events while advancing its simulation time.
 //!
 //! Determinism: events at the same instant are delivered in insertion order
 //! (a monotone sequence number breaks ties), so a fixed seed always replays
 //! the same trajectory.
-//!
-//! [`SimClock`]: crate::clock::SimClock
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -4,7 +4,6 @@
 //! workspace builds on:
 //!
 //! * [`time`] — virtual instants and spans ([`SimTime`], [`SimDuration`]),
-//! * [`clock`] — the shared monotone simulation clock ([`SimClock`]),
 //! * [`events`] — a deterministic discrete-event queue ([`EventQueue`]),
 //! * [`rng`] — forkable, seedable random number generation ([`SimRng`]),
 //! * [`dist`] — the distributions used by the noise and placement models,
@@ -20,18 +19,18 @@
 //! ```
 //! use eaao_simcore::prelude::*;
 //!
-//! let clock = SimClock::new();
 //! let mut rng = SimRng::seed_from(1);
-//! clock.advance(SimDuration::from_mins(10));
+//! let mut events = EventQueue::new();
+//! let due = SimTime::ZERO + SimDuration::from_mins(10);
+//! events.schedule(due, "reap");
 //! let jitter = Normal::new(0.0, 1e-6).sample(&mut rng);
-//! assert!(clock.now() > SimTime::ZERO);
+//! assert_eq!(events.next_due(), Some(due));
 //! assert!(jitter.abs() < 1e-4);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod clock;
 pub mod dist;
 pub mod events;
 pub mod rng;
@@ -40,7 +39,6 @@ pub mod stats;
 pub mod time;
 pub mod wsample;
 
-pub use clock::SimClock;
 pub use events::EventQueue;
 pub use rng::SimRng;
 pub use series::Series;
@@ -48,7 +46,6 @@ pub use time::{SimDuration, SimTime};
 
 /// Convenient glob import of the most common substrate types.
 pub mod prelude {
-    pub use crate::clock::SimClock;
     pub use crate::dist::{weighted_sample_indices, Exponential, LogNormal, Normal, Sample, Zipf};
     pub use crate::events::EventQueue;
     pub use crate::rng::SimRng;

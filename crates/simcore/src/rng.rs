@@ -14,7 +14,7 @@
 use rand::{Error, RngCore, SeedableRng};
 
 /// SplitMix64 step; used for seeding and label mixing.
-fn splitmix64(state: &mut u64) -> u64 {
+const fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -22,15 +22,21 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mixes a string label into a 64-bit value (FNV-1a, then SplitMix64 finish).
-fn mix_label(label: &str) -> u64 {
+/// Mixes a string label into the 64-bit key [`SimRng::fork_labeled`]
+/// XORs into its child's seed (FNV-1a, then SplitMix64 finish).
+///
+/// A `const fn`, so a label fixed at compile time becomes a constant key
+/// and forking under it costs one draw and an XOR
+/// ([`SimRng::fork_seed`]).
+pub const fn label_key(label: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
+    let mut rest = label.as_bytes();
+    while let Some((&b, tail)) = rest.split_first() {
+        h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
+        rest = tail;
     }
-    let mut s = h;
-    splitmix64(&mut s)
+    splitmix64(&mut h)
 }
 
 /// A deterministic, forkable pseudo-random number generator
@@ -82,8 +88,16 @@ impl SimRng {
     /// different streams, and the same label always maps to the same stream
     /// for a given parent state — useful for wiring components by name.
     pub fn fork_labeled(&mut self, label: &str) -> SimRng {
-        let base = self.next_u64();
-        SimRng::seed_from(base ^ mix_label(label))
+        SimRng::seed_from(self.fork_seed(label_key(label)))
+    }
+
+    /// The seed [`SimRng::fork_labeled`] builds its child from, for a
+    /// label already mixed into `key` by [`label_key`]: one draw and an
+    /// XOR. The parent advances exactly as it does under `fork_labeled`,
+    /// and `SimRng::seed_from` of the result is the child, so a caller
+    /// may keep the 8-byte seed and defer the 32-byte stream to first use.
+    pub fn fork_seed(&mut self, key: u64) -> u64 {
+        self.next_u64() ^ key
     }
 
     /// Derives the keyed stream `(base, key)` — an *order-free* sibling of
@@ -242,6 +256,47 @@ mod tests {
         let mut c = p3.fork_labeled("noise");
         let mut d = SimRng::seed_from(9).fork_labeled("hosts");
         assert_ne!(c.next_u64(), d.next_u64());
+    }
+
+    /// The label mix as an iterator loop, written independently of
+    /// `label_key`'s const-evaluable form: the reference it must match.
+    fn runtime_label_mix(label: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in label.as_bytes() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        splitmix64(&mut h)
+    }
+
+    #[test]
+    fn the_const_label_mix_equals_the_runtime_mix() {
+        const GEN1_CLOCK: u64 = label_key("gen1-clock");
+        const GEN2_CLOCK: u64 = label_key("gen2-clock");
+        assert_eq!(GEN1_CLOCK, runtime_label_mix("gen1-clock"));
+        assert_eq!(GEN2_CLOCK, runtime_label_mix("gen2-clock"));
+        assert_ne!(GEN1_CLOCK, GEN2_CLOCK);
+        for label in ["", "datacenter", "policy", "refine"] {
+            assert_eq!(
+                label_key(std::hint::black_box(label)),
+                runtime_label_mix(label)
+            );
+        }
+    }
+
+    #[test]
+    fn seeding_from_the_forked_seed_reproduces_fork_labeled() {
+        for label in ["gen1-clock", "gen2-clock"] {
+            let mut labeled_parent = SimRng::seed_from(11);
+            let mut seeded_parent = SimRng::seed_from(11);
+            let mut labeled = labeled_parent.fork_labeled(label);
+            let mut seeded = SimRng::seed_from(seeded_parent.fork_seed(label_key(label)));
+            for _ in 0..32 {
+                assert_eq!(labeled.next_u64(), seeded.next_u64(), "{label}");
+            }
+            // Both parents advanced by the same one draw.
+            assert_eq!(labeled_parent.next_u64(), seeded_parent.next_u64());
+        }
     }
 
     #[test]

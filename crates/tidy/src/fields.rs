@@ -14,7 +14,7 @@
 //! or `snapshot` function, or if it is (transitively) named in a field —
 //! or a generic-parameter default, an enum-variant payload, or an
 //! associated-type binding (`type Sampler = FenwickSampler;`) of an
-//! `impl` for a type — that does. `World` roots the closure; `SimClock`
+//! `impl` for a type — that does. `World` roots the closure; `SimRng`
 //! and `DataCenter` are pulled in through its fields, `OptimizedEngine`
 //! through the header default `E: Engine = OptimizedEngine`, and
 //! `FenwickSampler` / `IncrementalCapacity` through the engine's
@@ -30,7 +30,8 @@ use crate::source::SourceFile;
 
 /// Function names that constitute the fork path of a type. `clone` is
 /// included because `Clone` *is* the sharing half of the snapshot
-/// contract (`SimClock`: Clone shares, `fork` detaches).
+/// contract (`World::branch` is `self.clone()`: whatever a `Clone`
+/// shares, a branch shares).
 pub const FORK_FN_NAMES: &[&str] = &["branch", "clone", "fork", "snapshot"];
 
 /// The names that make a type a fork-surface *root* (having `clone` alone

@@ -79,14 +79,6 @@ fn the_field_level_sanctioned_sites_are_live() {
     let root = workspace_root();
     let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
 
-    // SimClock: Clone shares the handle by contract; both field-level
-    // checks fire on the field and are absorbed on the field line.
-    let clock = read("crates/simcore/src/clock.rs");
-    assert!(
-        clock.contains("tidy:allow(fork-coverage)") && clock.contains("tidy:allow(cow-aliasing)"),
-        "SimClock's sanctioned Clone-shares/fork-detaches split must carry both field-level allows"
-    );
-
     // SimRng: fork detaches by reseeding, never naming the state field.
     let rng = read("crates/simcore/src/rng.rs");
     assert!(

@@ -10,6 +10,8 @@
 // Each suite compiles this module independently and uses its own slice.
 #![allow(dead_code, unused_imports)]
 
+use std::collections::BTreeMap;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -26,6 +28,19 @@ pub fn small_world(seed: u64, services: usize) -> (World, Vec<ServiceId>) {
         .map(|_| world.deploy_service(account, ServiceSpec::default().with_max_instances(200)))
         .collect();
     (world, services)
+}
+
+/// Live instances per host of `services`, counted from the instance
+/// registry (`alive_instances_of` and `host_of`). The residency index
+/// must hold exactly these counts.
+pub fn live_per_host(world: &World, services: &[ServiceId]) -> BTreeMap<HostId, usize> {
+    let mut per_host = BTreeMap::new();
+    for &service in services {
+        for id in world.alive_instances_of(service) {
+            *per_host.entry(world.host_of(id)).or_default() += 1;
+        }
+    }
+    per_host
 }
 
 /// Event due-times for queue-ordering properties.

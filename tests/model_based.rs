@@ -30,18 +30,18 @@ fn check_invariants(world: &World, services: &[ServiceId]) -> Result<(), TestCas
             host
         );
     }
-    // 3. Every alive instance is resident where the registry says.
-    for &service in services {
-        for id in world.alive_instances_of(service) {
-            let host = world.host_of(id);
-            prop_assert!(
-                occupancy.contains(host, id),
-                "instance {} missing from host {}",
-                id,
-                host
-            );
-        }
+    // 3. Every host's residency count is the number of live instances
+    //    the registry places on it; with 1., no other host counts any.
+    let per_host = common::live_per_host(world, services);
+    for (&host, &live) in &per_host {
+        prop_assert_eq!(
+            occupancy.count(host),
+            live,
+            "host {} residency out of sync",
+            host
+        );
     }
+    prop_assert_eq!(occupancy.len(), per_host.values().sum::<usize>());
     // 4. The engine's free-slot index agrees with ground truth.
     let ground_truth: u64 = dc
         .host_ids()
@@ -104,12 +104,10 @@ proptest! {
         // if the closing launch succeeded, its instances are resident.
         let cold = *session.services().last().expect("at least one service");
         let world = session.world();
-        for id in world.alive_instances_of(cold) {
-            let host = world.host_of(id);
+        for (&host, &live) in &common::live_per_host(world, &[cold]) {
             prop_assert!(
-                world.occupancy().contains(host, id),
-                "burst instance {} missing from host {}",
-                id,
+                world.occupancy().count(host) >= live,
+                "burst instances missing from host {}",
                 host
             );
         }

@@ -91,15 +91,17 @@ fn residency_mirrors_instances_through_a_full_lifecycle() {
     let account = world.create_account();
     let service = world.deploy_service(account, ServiceSpec::default().with_max_instances(1_000));
     for round in 0..4 {
-        let launch = world.launch(service, 200).expect("fits");
-        // Every live instance is resident exactly where it claims.
-        for &id in launch.instances() {
-            let host = world.host_of(id);
-            assert!(
-                world.occupancy().contains(host, id),
-                "round {round}: instance {id} not resident on {host}"
+        world.launch(service, 200).expect("fits");
+        // Every host counts exactly the live instances placed on it.
+        let per_host = common::live_per_host(&world, &[service]);
+        for (&host, &live) in &per_host {
+            assert_eq!(
+                world.occupancy().count(host),
+                live,
+                "round {round}: host {host} residency out of sync"
             );
         }
+        assert_eq!(per_host.values().sum::<usize>(), 200);
         assert_eq!(world.occupancy().len(), 200);
         world.disconnect_all(service);
         world.advance(SimDuration::from_mins(20));
