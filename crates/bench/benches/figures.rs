@@ -1,8 +1,8 @@
 //! Criterion benches: one per paper figure, timing the experiment drivers
 //! at reduced (quick) scale so `cargo bench` terminates in minutes.
 //!
-//! The *numbers* the paper reports are regenerated at full scale by the
-//! `repro` binary; these benches measure how fast the simulation pipeline
+//! The *numbers* the paper reports are regenerated at full scale by
+//! `eaao repro`; these benches measure how fast the simulation pipeline
 //! reproduces each figure, and catch performance regressions in the
 //! placement, fingerprinting, and verification paths.
 

@@ -2,11 +2,11 @@
 //!
 //! A row ([`Experiment`]) is everything the stack knows about an
 //! experiment: its name, the optional grid axes it takes, how to run one
-//! grid cell, how to render that cell's payload as the text `repro`
+//! grid cell, how to render that cell's payload as the text `eaao repro`
 //! prints, and — where the experiment measures one — the co-location
 //! headline [`aggregate`](crate::aggregate) estimates. Spec expansion,
-//! the runner, aggregation and `repro` all read [`EXPERIMENTS`]; no other
-//! crate source names an experiment.
+//! the runner, aggregation and `eaao repro` all read [`EXPERIMENTS`]; no
+//! other crate source names an experiment.
 
 use std::fmt;
 
@@ -106,9 +106,9 @@ pub type Rendered = Result<String, serde::Error>;
 pub struct Experiment {
     /// The spec-file / CLI name.
     pub name: &'static str,
-    /// The heading `repro` prints above each of its cells.
+    /// The heading `eaao repro` prints above each of its cells.
     pub title: &'static str,
-    /// Whether it belongs to the paper suite (`repro all`).
+    /// Whether it belongs to the paper suite (`eaao repro all`).
     pub paper: bool,
     /// The optional grid axes it takes.
     pub(crate) axes: Axes,

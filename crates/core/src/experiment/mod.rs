@@ -2,8 +2,9 @@
 //!
 //! Every driver is a config struct with paper-scale defaults, a `quick()`
 //! constructor for fast test/bench runs, and a `run(seed)` method returning
-//! a serializable result — the same rows/series the paper reports. Tests,
-//! examples, Criterion benches, and the `repro` binary all share these.
+//! a serializable result — the same rows/series the paper reports. The
+//! campaign registry's rows (run by `eaao repro` and `eaao campaign`),
+//! tests and Criterion benches all share these.
 //!
 //! | Module | Reproduces |
 //! |---|---|

@@ -294,7 +294,7 @@ mod tests {
     fn resistant_scheduling_does_not_help_in_a_small_region() {
         // In a 205-host region the attacker covers everything either way —
         // the scheduler defense needs a large pool to matter (checked at
-        // full scale by the repro binary).
+        // full scale by `eaao repro sec6`).
         let result = Sec6Config::quick().run(203);
         assert!(result.coverage_unmitigated > 0.8);
         assert!((0.0..=1.0).contains(&result.coverage_resistant));

@@ -12,15 +12,14 @@
 //! | [`cluster`] | §4.4 — co-location cluster bookkeeping |
 //! | [`metrics`] | §4.1 — precision / recall / Fowlkes–Mallows accuracy over instance pairs (Figure 4) |
 //! | [`coverage`] | §5.2 — victim instance coverage measurement (Figure 11) |
-//! | [`extraction`] | §2 (threat model, step 2) — detecting when the co-located victim runs |
 //! | [`scenario`] | §5 — a builder for attacker-vs-victim setups |
 //! | [`strategy`] | §5.2 — [`strategy::naive`] (Strategy 1), [`strategy::optimized`] (Strategy 2), [`strategy::explore`] (Figure 12) |
-//! | [`experiment`] | one driver per paper figure/table, shared by tests, examples, and benches |
+//! | [`experiment`] | one driver per paper figure/table, run by the campaign registry's rows and shared with tests and benches |
 //!
 //! Long-running entry points ([`verify::HierarchicalVerifier::verify`],
 //! the strategies, [`probe::probe_fleet`]) are instrumented with
-//! `eaao-obs` spans and counters; run any binary with `--trace FILE` to
-//! watch them (see `docs/OBSERVABILITY.md`).
+//! `eaao-obs` spans and counters; run `eaao repro` or `eaao campaign`
+//! with `--trace FILE` to watch them (see `docs/OBSERVABILITY.md`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -29,7 +28,6 @@ pub mod cluster;
 pub mod coverage;
 pub mod experiment;
 pub mod expiry;
-pub mod extraction;
 pub mod fingerprint;
 pub mod metrics;
 pub mod probe;
@@ -48,7 +46,6 @@ pub mod prelude {
     pub use crate::cluster::CoLocationForest;
     pub use crate::coverage::{measure_coverage, measure_coverage_verified, CoverageReport};
     pub use crate::expiry::{DriftStudy, FingerprintHistory};
-    pub use crate::extraction::{monitor_victim_activity, ActivityTrace, MonitorConfig};
     pub use crate::fingerprint::{
         group_by_fingerprint, Gen1Fingerprint, Gen1Fingerprinter, Gen2Fingerprint,
     };

@@ -293,19 +293,6 @@ impl Collector {
     pub fn drain_events(&self) -> Vec<Event> {
         std::mem::take(&mut self.events.lock())
     }
-
-    /// Renders the metrics recorded so far as one [`EventKind::Metrics`]
-    /// event (its `fields` hold the snapshot), or `None` when no metric has
-    /// been touched. Useful as the closing line of a trace file.
-    pub fn metrics_event(&self) -> Option<Event> {
-        let snapshot = self.metrics.snapshot();
-        if snapshot.is_empty() {
-            return None;
-        }
-        let mut event = Event::new(EventKind::Metrics, "metrics", self.now_ns());
-        event.fields = snapshot.to_value();
-        Some(event)
-    }
 }
 
 impl Instrument for Collector {

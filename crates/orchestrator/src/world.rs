@@ -949,53 +949,6 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         Ok(observations)
     }
 
-    /// A passive observation: `observer` watches its host's RNG unit for
-    /// `rounds` rounds while the instances in `active` are busy using it
-    /// (the victim's secret-dependent work of the threat model). Unlike
-    /// [`rng_covert_observations`](World::rng_covert_observations), the
-    /// observer contributes no pressure of its own.
-    ///
-    /// Advances the clock by the observation duration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GuestError`] if the observer is unknown or dead. Dead
-    /// entries in `active` are skipped — a terminated victim simply makes
-    /// no noise.
-    pub fn rng_activity_observation(
-        &mut self,
-        observer: InstanceId,
-        active: &[InstanceId],
-        rounds: usize,
-    ) -> Result<Vec<u32>, GuestError> {
-        obs::count("world.rng_observations", 1);
-        let obs_instance = self
-            .instances
-            .get(observer)
-            .ok_or(GuestError::UnknownInstance(observer))?;
-        if !obs_instance.is_alive() {
-            return Err(GuestError::Terminated(observer));
-        }
-        let host = obs_instance.host();
-        let co_active = active
-            .iter()
-            .filter(|&&id| {
-                id != observer
-                    && self
-                        .instances
-                        .get(id)
-                        .is_some_and(|i| i.is_alive() && i.host() == host)
-            })
-            .count();
-        let observations =
-            self.dc
-                .host(host)
-                .rng_unit()
-                .observe_rounds(co_active, rounds, &mut self.rng);
-        self.advance(CTEST_ROUND_DURATION * rounds as i64);
-        Ok(observations)
-    }
-
     /// Runs the `/lock`–`/check` memory-bus verification channel: all
     /// `participants` pin bus locks for `rounds` rounds while timing
     /// their own locked operations; returns each participant's per-round

@@ -1,5 +1,4 @@
-//! The `eaao-tidy` command-line driver, shared by the standalone binary
-//! and the root `eaao tidy` subcommand.
+//! The `eaao-tidy` command-line driver behind the `eaao-tidy` binary.
 //!
 //! ```text
 //! eaao-tidy [--root DIR] [--json PATH] [--write-baseline] [--list-checks]

@@ -84,8 +84,7 @@
 //! ```
 //!
 //! Diagnostics are `file:line: [check-name] message`, sorted by path, and
-//! byte-identical across runs on the same tree. The same driver backs the
-//! root CLI's `eaao tidy` subcommand.
+//! byte-identical across runs on the same tree.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,148 +1,229 @@
-//! `eaao` — command-line front end to the simulator and attack toolkit.
+//! `eaao` — command-line front end to the experiment registry, the
+//! campaign engine and the campaign daemon.
 //!
 //! ```text
-//! eaao attack     [--region R] [--seed N] [--strategy naive|optimized] [--victims N]
-//! eaao fingerprint [--region R] [--seed N] [--instances N] [--gen2]
-//! eaao verify      [--region R] [--seed N] [--instances N]
-//! eaao explore     [--region R] [--seed N]
-//! eaao monitor     [--region R] [--seed N] [--windows N]
-//! eaao trace FILE
-//! eaao tidy        [--root DIR] [--json PATH|-] [--write-baseline] [--list-checks]
+//! eaao repro [EXPERIMENT ...]   regenerate the paper's tables and figures
+//! eaao campaign                 run an experiment grid, streaming JSONL
+//! eaao serve | submit | shutdown   the streaming campaign daemon
+//! eaao trace FILE               summarize a `--trace` file
+//! eaao help                     every command with its flags
 //! ```
 //!
-//! Every command is deterministic under `--seed` and runs in milliseconds
-//! of real time (the week-long experiments run on virtual time). For the
-//! paper's figures and tables use the `repro` binary in `eaao-bench`.
+//! Every experiment is a row of the registry
+//! (`eaao_campaign::registry::EXPERIMENTS`), and every command that runs
+//! one runs a campaign. Each command declares the flags it takes: an
+//! unknown flag, a value flag without its value or a stray argument exits
+//! 2 and names the argument. `help`, `--help` and `-h` print usage to
+//! stdout and exit 0.
 //!
-//! Any command accepts `--trace FILE` to stream structured span events and
-//! a closing metrics snapshot to `FILE` as JSONL (see
-//! `docs/OBSERVABILITY.md`); `eaao trace FILE` summarizes such a file.
+//! `eaao repro` regenerates the paper's tables and figures. Its
+//! experiments are registry rows; `all`, the default, is the paper suite
+//! `fig4 … factors`. Each selected experiment runs once per paper region
+//! (`us-west1` alone with `--quick`), seeded from `--seed` and the run
+//! key. After the run, stdout gets each record's render in grid order.
+//! The campaign's `results.jsonl`, `manifest.jsonl` and `campaign.json`
+//! go to `--out DIR` (default `repro-campaign/`). `--jobs N` only sets
+//! the worker count: stdout and those files are the same at any N,
+//! `wall_ms` aside. `--quick` swaps in the reduced-scale configurations
+//! used by tests.
+//!
+//! `repro` and `campaign` print progress and a closing summary to stderr
+//! and exit 1 if any run fails. `--trace FILE` streams structured
+//! span/metrics events to `FILE` as JSONL (see `docs/OBSERVABILITY.md`).
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
+use std::time::Instant;
 
+use eaao::campaign::spec::KNOWN_REGIONS;
 use eaao::prelude::*;
 
-struct Common {
-    region: String,
-    seed: u64,
+/// One subcommand: its name, what it does, the arguments it takes and
+/// the function that runs it.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    /// Positional arguments as usage shows them: `""` for none, a trailing
+    /// `...]` for any number, otherwise exactly one.
+    positionals: &'static str,
+    /// The flags as usage shows them. The parser accepts exactly these:
+    /// `--name WORD` takes a value, a bare `--name` is a switch.
+    flags: &'static str,
+    run: fn(&Args),
 }
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "repro",
+        about: "regenerate the paper's tables and figures (default: all)",
+        positionals: "[EXPERIMENT ...]",
+        flags: "[--seed N] [--out DIR] [--jobs N] [--trace FILE] [--quick]",
+        run: repro,
+    },
+    Command {
+        name: "campaign",
+        about: "run an experiment grid in parallel, streaming JSONL to --out",
+        positionals: "",
+        flags: "(--spec FILE | --experiments LIST) [--regions LIST] [--platforms LIST]\n\
+                [--verifiers LIST] [--seeds N] [--seed N] [--out DIR] [--jobs N]\n\
+                [--trace FILE] [--quick] [--resume]",
+        run: campaign,
+    },
+    Command {
+        name: "serve",
+        about: "run the streaming campaign daemon (docs/SERVICE.md)",
+        positionals: "",
+        flags: "[--addr A] [--metrics-addr A] [--jobs N] [--out DIR]\n\
+                [--max-pending N] [--dispatchers N]",
+        run: serve,
+    },
+    Command {
+        name: "submit",
+        about: "submit a campaign to a daemon, streaming records to stdout",
+        positionals: "",
+        flags: "(--spec FILE | --experiments LIST) [--regions LIST] [--platforms LIST]\n\
+                [--verifiers LIST] [--seeds N] [--seed N] [--addr A] [--out NAME]\n\
+                [--quick] [--quiet]",
+        run: submit,
+    },
+    Command {
+        name: "shutdown",
+        about: "ask a daemon to drain and exit",
+        positionals: "",
+        flags: "[--addr A]",
+        run: shutdown,
+    },
+    Command {
+        name: "trace",
+        about: "summarize a JSONL trace file",
+        positionals: "FILE",
+        flags: "",
+        run: trace,
+    },
+];
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage_and_exit();
-    }
-    let command = args.remove(0);
-    if command == "trace" {
-        // `trace` takes a positional file, unlike every other command.
-        let [path] = args.as_slice() else {
-            die("trace needs exactly one trace-file argument");
-        };
-        summarize_trace(Path::new(path));
+    let mut raw = std::env::args().skip(1);
+    let Some(name) = raw.next() else {
+        eprint!("{}", usage());
+        std::process::exit(2);
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{}", usage());
         return;
     }
-    if command == "tidy" {
-        // `tidy` owns its flags (--root/--json/--write-baseline/
-        // --list-checks); forward them untouched instead of parsing them
-        // as simulator flags.
-        std::process::exit(eaao_tidy::cli::run(&args).into());
-    }
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let mut bare_flags: Vec<String> = Vec::new();
-    let mut it = args.into_iter().peekable();
-    while let Some(arg) = it.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    flags.insert(name.to_owned(), it.next().expect("peeked"));
-                }
-                _ => bare_flags.push(name.to_owned()),
-            }
-        } else {
-            die(&format!("unexpected argument {arg:?}"));
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("eaao: unknown command {name:?}");
+        eprint!("{}", usage());
+        std::process::exit(2);
+    };
+    (command.run)(&Args::parse(command, raw));
+}
+
+/// Usage text: every command with its arguments, then the registry rows.
+fn usage() -> String {
+    let mut text = String::from("usage: eaao <command> [arguments]\n\ncommands:\n");
+    for command in COMMANDS {
+        text += &format!("  {:<9} {}\n", command.name, command.about);
+        let arguments = format!("{} {}", command.positionals, command.flags);
+        for line in arguments.trim().lines() {
+            text += &format!("            {line}\n");
         }
     }
-    let common = Common {
-        region: flags
-            .get("region")
-            .cloned()
-            .unwrap_or_else(|| "us-east1".to_owned()),
-        seed: flags
-            .get("seed")
-            .map(|s| s.parse().unwrap_or_else(|_| die("--seed needs an integer")))
-            .unwrap_or(2_024),
-    };
-    let trace = flags.get("trace").map(PathBuf::from);
-    match command.as_str() {
-        "attack" => run_traced(trace, || attack(&common, &flags)),
-        "fingerprint" => run_traced(trace, || fingerprint(&common, &flags, &bare_flags)),
-        "verify" => run_traced(trace, || verify(&common, &flags)),
-        "explore" => run_traced(trace, || explore(&common)),
-        "monitor" => run_traced(trace, || monitor(&common, &flags)),
-        "campaign" => campaign(&common, &flags, &bare_flags, trace),
-        "serve" => serve(&flags),
-        "submit" => submit(&common, &flags, &bare_flags),
-        "shutdown" => shutdown(&flags),
-        "help" | "--help" | "-h" => usage_and_exit(),
-        other => die(&format!("unknown command {other:?}")),
-    }
-}
-
-/// Runs `run` under a tracing collector when `--trace FILE` was given,
-/// writing its span events plus a closing metrics snapshot to the file.
-fn run_traced(trace: Option<PathBuf>, run: impl FnOnce()) {
-    let Some(path) = trace else {
-        return run();
-    };
-    let writer = TraceWriter::create(&path)
-        .unwrap_or_else(|e| die(&format!("cannot create trace file {}: {e}", path.display())));
-    let collector = Collector::with_events();
-    with_instrument(collector.clone(), run);
-    let mut events = collector.drain_events();
-    events.extend(collector.metrics_event());
-    writer
-        .write_events(&events)
-        .unwrap_or_else(|e| die(&format!("cannot write trace file {}: {e}", path.display())));
-    eprintln!("trace: {} events -> {}", events.len(), path.display());
-}
-
-fn summarize_trace(path: &Path) {
-    let summary = TraceSummary::read(path)
-        .unwrap_or_else(|e| die(&format!("cannot summarize {}: {e}", path.display())));
-    print!("{}", summary.render());
-}
-
-fn usage_and_exit() -> ! {
-    eprintln!(
-        "usage: eaao <command> [flags]\n\
-         commands:\n\
-           attack       run a co-location attack against a fresh victim\n\
-                        [--strategy naive|optimized] [--victims N]\n\
-           fingerprint  launch instances and print their host fingerprints [--instances N] [--gen2]\n\
-           verify       compare hierarchical vs pairwise verification [--instances N]\n\
-           explore      estimate the region's serving-pool size\n\
-           monitor      detect victim activity from a co-located instance [--windows N]\n\
-           campaign     run a batch experiment grid in parallel, streaming JSONL\n\
-                        --spec FILE | --experiments a,b,c [--regions r1,r2]\n\
-                        [--platforms cloudrun,lambda-like,azure-like]\n\
-                        [--verifiers rng-ctest,membus-lockcheck]\n\
-                        [--seeds N] [--out DIR] [--jobs N] [--resume] [--quick]\n\
-           serve        run the streaming campaign daemon (docs/SERVICE.md)\n\
-                        [--addr A] [--metrics-addr A] [--jobs N] [--out DIR]\n\
-                        [--max-pending N] [--dispatchers N]\n\
-           submit       submit a campaign to a daemon, streaming records to stdout\n\
-                        --addr A (--spec FILE | --experiments a,b,c)\n\
-                        [--platforms p1,p2] [--verifiers v1,v2]\n\
-                        [--out NAME] [--seeds N] [--quick] [--quiet]\n\
-           shutdown     ask a daemon to drain and exit: eaao shutdown --addr A\n\
-           trace        summarize a JSONL trace file: eaao trace FILE\n\
-           tidy         run the workspace static-analysis pass\n\
-                        [--root DIR] [--json PATH|-] [--write-baseline] [--list-checks]\n\
-         common flags: --region us-east1|us-central1|us-west1   --seed N\n\
-                       --trace FILE   write structured span/metrics events as JSONL"
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    text += &format!(
+        "  help      print this message\n\nexperiments: {} (repro also takes all: the paper suite)\n",
+        names.join(" ")
     );
-    std::process::exit(2);
+    text
+}
+
+/// Whether `flags` declares `flag`: `Some(true)` if it takes a value,
+/// `Some(false)` for a switch.
+fn declared(flags: &str, flag: &str) -> Option<bool> {
+    let mut words = flags
+        .split(|c: char| c.is_whitespace() || "[]()|".contains(c))
+        .filter(|word| !word.is_empty());
+    words.find(|word| *word == flag)?;
+    Some(words.next().is_some_and(|word| !word.starts_with("--")))
+}
+
+/// A command line checked against its command's declared arguments.
+struct Args {
+    command: &'static Command,
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// Parses `raw` for `command`, exiting 2 on anything it does not
+    /// declare and 0 after printing usage for `--help`/`-h`.
+    fn parse(command: &'static Command, mut raw: impl Iterator<Item = String>) -> Args {
+        let name = command.name;
+        let mut args = Args {
+            command,
+            values: Vec::new(),
+            switches: Vec::new(),
+            positionals: Vec::new(),
+        };
+        while let Some(arg) = raw.next() {
+            if arg == "--help" || arg == "-h" {
+                print!("{}", usage());
+                std::process::exit(0);
+            }
+            match declared(command.flags, &arg) {
+                _ if !arg.starts_with("--") => args.positionals.push(arg),
+                None => die(&format!("{name}: unknown flag {arg:?}")),
+                Some(false) => args.switches.push(arg),
+                Some(true) => match raw.next().filter(|v| !v.starts_with("--")) {
+                    Some(value) => args.values.push((arg, value)),
+                    None => die(&format!("{name}: {arg} needs a value")),
+                },
+            }
+        }
+        let wanted = command.positionals;
+        if !wanted.ends_with("...]") {
+            let max = usize::from(!wanted.is_empty());
+            if let Some(extra) = args.positionals.get(max) {
+                die(&format!("{name}: unexpected argument {extra:?}"));
+            }
+            if args.positionals.len() < max {
+                die(&format!("{name} needs a {wanted} argument"));
+            }
+        }
+        args
+    }
+
+    /// The value of `flag`, the last one if it was repeated.
+    fn value(&self, flag: &str) -> Option<&str> {
+        debug_assert!(declared(self.command.flags, flag) == Some(true));
+        let last = self.values.iter().rev().find(|(name, _)| name == flag);
+        last.map(|(_, value)| value.as_str())
+    }
+
+    /// Whether switch `flag` was given.
+    fn switch(&self, flag: &str) -> bool {
+        debug_assert!(declared(self.command.flags, flag) == Some(false));
+        self.switches.iter().any(|name| name == flag)
+    }
+
+    /// `flag` parsed as a `T`, or `default` when it is absent.
+    fn parse_or<T: FromStr>(&self, flag: &str, default: T) -> T {
+        self.value(flag).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|_| die(&format!("{flag} got an invalid value {v:?}")))
+        })
+    }
+
+    /// `--jobs`, which must be at least 1.
+    fn jobs(&self, default: usize) -> usize {
+        let jobs = self.parse_or("--jobs", default);
+        if jobs == 0 {
+            die("--jobs needs a positive integer");
+        }
+        jobs
+    }
 }
 
 fn die(msg: &str) -> ! {
@@ -150,273 +231,168 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_or<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags
-        .get(key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("--{key} got an invalid value {v:?}")))
-        })
-        .unwrap_or(default)
-}
-
-fn attack(common: &Common, flags: &HashMap<String, String>) {
-    let victims = parse_or(flags, "victims", 100usize);
-    let strategy = flags
-        .get("strategy")
-        .map(String::as_str)
-        .unwrap_or("optimized");
-    let mut arena = Scenario::in_region(&common.region)
-        .seed(common.seed)
-        .victims(victims)
-        .build();
-    println!(
-        "victim: {} instances in {} (seed {})",
-        victims, common.region, common.seed
-    );
-    let report = match strategy {
-        "naive" => NaiveLaunch::default()
-            .run(&mut arena.world, arena.attacker)
-            .unwrap_or_else(|e| die(&format!("attack failed: {e}"))),
-        "optimized" => OptimizedLaunch::default()
-            .run(&mut arena.world, arena.attacker)
-            .unwrap_or_else(|e| die(&format!("attack failed: {e}"))),
-        other => die(&format!("unknown strategy {other:?}")),
-    };
-    let coverage = measure_coverage(&arena.world, &report.live_instances, &arena.victims);
-    println!(
-        "attacker ({strategy}): {} instances on {} hosts ({:.0}% of the region), cost {}",
-        report.live_instances.len(),
-        report.hosts_occupied,
-        coverage.attacker_host_coverage() * 100.0,
-        report.cost
-    );
-    println!(
-        "victim instance coverage: {:.1}%  (co-located with >=1 victim instance: {})",
-        coverage.victim_instance_coverage() * 100.0,
-        if coverage.at_least_one() { "yes" } else { "no" }
-    );
-}
-
-fn fingerprint(common: &Common, flags: &HashMap<String, String>, bare: &[String]) {
-    let instances = parse_or(flags, "instances", 100usize);
-    let gen2 = bare.iter().any(|f| f == "gen2");
-    let mut world = World::new(region_by_name(&common.region), common.seed);
-    let account = world.create_account();
-    let generation = if gen2 {
-        Generation::Gen2
-    } else {
-        Generation::Gen1
-    };
-    let service = world.deploy_service(
-        account,
-        ServiceSpec::default()
-            .with_generation(generation)
-            .with_max_instances(1_000),
-    );
-    let launch = world
-        .launch(service, instances)
-        .unwrap_or_else(|e| die(&format!("launch failed: {e}")));
-    let readings = probe_fleet(&mut world, launch.instances(), SimDuration::from_millis(10));
-    let mut counts: HashMap<String, usize> = HashMap::new();
-    for reading in &readings {
-        let label = if gen2 {
-            Gen2Fingerprint::from_reading(reading)
-                .map(|f| f.to_string())
-                .unwrap_or_else(|| "-".to_owned())
-        } else {
-            Gen1Fingerprinter::default()
-                .fingerprint(reading)
-                .map(|f| f.to_string())
-                .unwrap_or_else(|| "-".to_owned())
-        };
-        *counts.entry(label).or_default() += 1;
-    }
-    let mut rows: Vec<(String, usize)> = counts.into_iter().collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    println!(
-        "{} instances -> {} distinct {} fingerprints:",
-        instances,
-        rows.len(),
-        if gen2 { "Gen 2" } else { "Gen 1" }
-    );
-    for (fp, n) in rows {
-        println!("  {n:>4}  {fp}");
-    }
-}
-
-fn verify(common: &Common, flags: &HashMap<String, String>) {
-    let instances = parse_or(flags, "instances", 100usize);
-    let mut world = World::new(region_by_name(&common.region), common.seed);
-    let account = world.create_account();
-    let service = world.deploy_service(account, ServiceSpec::default().with_max_instances(1_000));
-    let launch = world
-        .launch(service, instances)
-        .unwrap_or_else(|e| die(&format!("launch failed: {e}")));
-    let ids = launch.instances().to_vec();
-    let readings = probe_fleet(&mut world, &ids, SimDuration::from_millis(10));
-    let fingerprinter = Gen1Fingerprinter::default();
-    let (groups, _) = group_by_fingerprint(&readings, |r| fingerprinter.fingerprint(r));
-    let groups: Vec<Vec<InstanceId>> = groups
-        .into_iter()
-        .map(|(_, m)| m.iter().map(|&i| readings[i].instance).collect())
-        .collect();
-    let outcome = HierarchicalVerifier::new()
-        .verify(&mut world, &groups)
-        .unwrap_or_else(|e| die(&format!("verification failed: {e}")));
-    println!(
-        "hierarchical: {} clusters, {} tests, {} wall, {} cost",
-        outcome.clusters.len(),
-        outcome.stats.ctests,
-        outcome.stats.wall,
-        outcome.stats.cost
-    );
-    println!(
-        "pairwise would need {} tests (~{:.1} h at 100 ms each)",
-        pair_count(instances),
-        pair_count(instances) as f64 * 0.1 / 3_600.0
-    );
-}
-
-fn explore(common: &Common) {
-    let mut world = World::new(region_by_name(&common.region), common.seed);
-    let report = ClusterExplorer::default()
-        .run(&mut world)
-        .unwrap_or_else(|e| die(&format!("exploration failed: {e}")));
-    println!(
-        "{}: {} unique apparent hosts after {} launches (true simulated pool: {})",
-        common.region,
-        report.estimated_hosts,
-        report.cumulative.len(),
-        report.true_hosts
-    );
-}
-
-fn monitor(common: &Common, flags: &HashMap<String, String>) {
-    let windows = parse_or(flags, "windows", 24usize);
-    let mut arena = Scenario::in_region(&common.region)
-        .seed(common.seed)
-        .victims(50)
-        .build();
-    let report = OptimizedLaunch {
-        services: 2,
-        launches_per_service: 3,
-        instances_per_launch: 400,
-        ..OptimizedLaunch::default()
-    }
-    .run(&mut arena.world, arena.attacker)
-    .unwrap_or_else(|e| die(&format!("attack failed: {e}")));
-    let observer = report
-        .live_instances
-        .iter()
-        .copied()
-        .find(|&a| arena.victims.iter().any(|&v| arena.world.co_located(a, v)))
-        .unwrap_or_else(|| die("no co-located instance this seed; try another"));
-    // The victim serves a bursty workload: active every third window.
-    let schedule: Vec<bool> = (0..windows).map(|w| w % 3 == 0).collect();
-    let trace = monitor_victim_activity(
-        &mut arena.world,
-        observer,
-        &arena.victims,
-        &schedule,
-        &MonitorConfig::default(),
-    )
-    .unwrap_or_else(|e| die(&format!("monitoring failed: {e}")));
-    let render =
-        |bits: &[bool]| -> String { bits.iter().map(|&b| if b { '#' } else { '.' }).collect() };
-    println!("victim activity:  {}", render(&schedule));
-    println!("attacker detects: {}", render(trace.windows()));
-    println!(
-        "detection accuracy: {:.1}%",
-        trace.accuracy_against(&schedule) * 100.0
-    );
-}
-
-fn campaign(
-    common: &Common,
-    flags: &HashMap<String, String>,
-    bare: &[String],
-    trace: Option<PathBuf>,
-) {
-    let mut spec = if let Some(path) = flags.get("spec") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read spec {path:?}: {e}")));
-        CampaignSpec::from_json(&text).unwrap_or_else(|e| die(&format!("bad spec {path:?}: {e}")))
-    } else {
-        let Some(experiments) = flags.get("experiments") else {
-            die("campaign needs --spec FILE or --experiments a,b,c");
-        };
-        CampaignSpec {
-            experiments: split_list(experiments),
-            ..CampaignSpec::default()
-        }
-    };
-    // Flags refine the spec (CLI wins over file).
-    if let Some(regions) = flags.get("regions") {
-        spec.regions = split_list(regions);
-    } else if flags.contains_key("region") {
-        spec.regions = vec![common.region.clone()];
-    }
-    if let Some(platforms) = flags.get("platforms") {
-        spec.platforms = split_list(platforms);
-    }
-    if let Some(verifiers) = flags.get("verifiers") {
-        spec.verifiers = split_list(verifiers);
-    }
-    spec.seeds = parse_or(flags, "seeds", spec.seeds);
-    if flags.contains_key("seed") {
-        spec.seed = common.seed;
-    }
-    if bare.iter().any(|f| f == "quick") {
-        spec.quick = true;
-    }
-    spec.validate()
-        .unwrap_or_else(|e| die(&format!("invalid campaign: {e}")));
-
-    let out_dir = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("campaign-{}", spec.name));
-    let jobs = parse_or(flags, "jobs", 1usize);
-    let resume = bare.iter().any(|f| f == "resume");
-    let report = Campaign::new(spec, &out_dir)
-        .jobs(jobs)
-        .resume(resume)
-        .trace(trace)
+/// Runs `campaign` with a progress line per finished run and a closing
+/// summary on stderr; `each` sees every record as it finishes.
+fn run_campaign(campaign: &Campaign, mut each: impl FnMut(&RunRecord)) -> CampaignReport {
+    let started = Instant::now();
+    let report = campaign
         .run_with_progress(|done, total, record| {
             let status = if record.is_ok() { "ok" } else { "FAILED" };
-            println!("[{done:>4}/{total}] {status:>6}  {}", record.key);
+            eprintln!(
+                "[{done:>4}/{total}] {status:>6}  {}  ({:.1} s)",
+                record.key,
+                record.wall_ms / 1e3
+            );
+            each(record);
         })
         .unwrap_or_else(|e| die(&format!("campaign failed: {e}")));
-    println!(
-        "{}: {} runs ({} resumed, {} executed, {} failed) -> {out_dir}/results.jsonl",
-        report.name, report.total, report.resumed, report.executed, report.failed
+    eprintln!(
+        "{}: {} runs ({} resumed, {} executed, {} failed) in {:.1?} -> {}",
+        report.name,
+        report.total,
+        report.resumed,
+        report.executed,
+        report.failed,
+        started.elapsed(),
+        campaign.out_dir().join("results.jsonl").display()
     );
-    if !report.all_ok() {
+    report
+}
+
+/// Exits 1 unless every run succeeded, so scripts can gate on the status.
+fn exit_unless(ok: bool) {
+    if !ok {
         std::process::exit(1);
     }
+}
+
+fn repro(args: &Args) {
+    let mut selected: Vec<&'static Experiment> = Vec::new();
+    for name in &args.positionals {
+        if name == "all" {
+            selected.extend(Experiment::paper_suite());
+        } else {
+            let Some(experiment) = Experiment::find(name) else {
+                let unknown = SpecError::UnknownExperiment(name.clone());
+                die(&format!("{unknown} all"));
+            };
+            selected.push(experiment);
+        }
+    }
+    if selected.is_empty() {
+        selected.extend(Experiment::paper_suite());
+    }
+    let quick = args.switch("--quick");
+    let regions: &[&str] = if quick { &["us-west1"] } else { &KNOWN_REGIONS };
+    let spec = CampaignSpec {
+        name: "repro".to_owned(),
+        // Registry order, each experiment once.
+        experiments: EXPERIMENTS
+            .iter()
+            .filter(|e| selected.contains(e))
+            .map(|e| e.name.to_owned())
+            .collect(),
+        regions: regions.iter().map(|r| (*r).to_owned()).collect(),
+        seed: args.parse_or("--seed", 2_024),
+        quick,
+        ..CampaignSpec::default()
+    };
+    let campaign = Campaign::new(spec, args.value("--out").unwrap_or("repro-campaign"))
+        .jobs(args.jobs(1))
+        .trace(args.value("--trace").map(PathBuf::from));
+    let mut records: Vec<RunRecord> = Vec::new();
+    let report = run_campaign(&campaign, |record| records.push(record.clone()));
+    records.sort_by_key(|record| record.index);
+
+    let mut rendered = true;
+    for record in &records {
+        let experiment =
+            Experiment::find(&record.experiment).expect("records name registry experiments");
+        println!("\n=== {} ({}) ===", experiment.title, record.region);
+        let text = match (&record.payload, &record.error) {
+            (Some(payload), None) => {
+                (experiment.render)(payload).map_err(|e| format!("cannot render the payload: {e}"))
+            }
+            (_, error) => Err(error.clone().unwrap_or_default()),
+        };
+        match text {
+            Ok(text) => print!("{text}"),
+            Err(error) => {
+                rendered = false;
+                println!("  FAILED: {error}");
+            }
+        }
+    }
+    exit_unless(report.all_ok() && rendered);
+}
+
+/// The campaign named by `--spec FILE` or `--experiments LIST`, refined
+/// by the axis flags (a flag wins over the file). Exits 2 if it is
+/// invalid.
+fn campaign_spec(args: &Args) -> CampaignSpec {
+    let mut spec = match args.value("--spec") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(&format!("cannot read spec {path:?}: {e}")));
+            CampaignSpec::from_json(&text)
+                .unwrap_or_else(|e| die(&format!("bad spec {path:?}: {e}")))
+        }
+        None if args.value("--experiments").is_none() => die(&format!(
+            "{} needs --spec FILE or --experiments a,b,c",
+            args.command.name
+        )),
+        None => CampaignSpec::default(),
+    };
+    for (flag, axis) in [
+        ("--experiments", &mut spec.experiments),
+        ("--regions", &mut spec.regions),
+        ("--platforms", &mut spec.platforms),
+        ("--verifiers", &mut spec.verifiers),
+    ] {
+        if let Some(list) = args.value(flag) {
+            *axis = list
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(str::to_owned)
+                .collect();
+        }
+    }
+    spec.seeds = args.parse_or("--seeds", spec.seeds);
+    spec.seed = args.parse_or("--seed", spec.seed);
+    spec.quick |= args.switch("--quick");
+    spec.validate()
+        .unwrap_or_else(|e| die(&format!("invalid campaign: {e}")));
+    spec
+}
+
+fn campaign(args: &Args) {
+    let spec = campaign_spec(args);
+    let out_dir = args
+        .value("--out")
+        .map_or_else(|| format!("campaign-{}", spec.name), str::to_owned);
+    let campaign = Campaign::new(spec, out_dir)
+        .jobs(args.jobs(1))
+        .resume(args.switch("--resume"))
+        .trace(args.value("--trace").map(PathBuf::from));
+    exit_unless(run_campaign(&campaign, |_| {}).all_ok());
 }
 
 /// Default protocol address shared by `serve`, `submit`, and `shutdown`.
 const DEFAULT_ADDR: &str = "127.0.0.1:4780";
 
-fn serve(flags: &HashMap<String, String>) {
+fn serve(args: &Args) {
+    let defaults = ServeConfig::default();
     let config = ServeConfig {
-        addr: flags
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| DEFAULT_ADDR.to_owned()),
-        metrics_addr: flags.get("metrics-addr").cloned(),
-        jobs: parse_or(flags, "jobs", 2usize),
-        out_root: PathBuf::from(
-            flags
-                .get("out")
-                .cloned()
-                .unwrap_or_else(|| "serve-out".to_owned()),
-        ),
-        max_pending: parse_or(flags, "max-pending", 8usize),
-        dispatchers: parse_or(flags, "dispatchers", 2usize),
-        ..ServeConfig::default()
+        addr: args.value("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+        metrics_addr: args.value("--metrics-addr").map(str::to_owned),
+        jobs: args.jobs(defaults.jobs),
+        out_root: args
+            .value("--out")
+            .map_or(defaults.out_root.clone(), PathBuf::from),
+        max_pending: args.parse_or("--max-pending", defaults.max_pending),
+        dispatchers: args.parse_or("--dispatchers", defaults.dispatchers),
+        ..defaults
     };
     let server = Server::start(config).unwrap_or_else(|e| die(&format!("cannot start: {e}")));
     println!("eaao-serve listening on {}", server.addr());
@@ -429,49 +405,16 @@ fn serve(flags: &HashMap<String, String>) {
     println!("eaao-serve drained and stopped");
 }
 
-fn submit(common: &Common, flags: &HashMap<String, String>, bare: &[String]) {
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| DEFAULT_ADDR.to_owned());
-    let mut spec = if let Some(path) = flags.get("spec") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read spec {path:?}: {e}")));
-        CampaignSpec::from_json(&text).unwrap_or_else(|e| die(&format!("bad spec {path:?}: {e}")))
-    } else {
-        let Some(experiments) = flags.get("experiments") else {
-            die("submit needs --spec FILE or --experiments a,b,c");
-        };
-        CampaignSpec {
-            experiments: split_list(experiments),
-            ..CampaignSpec::default()
-        }
-    };
-    if let Some(regions) = flags.get("regions") {
-        spec.regions = split_list(regions);
-    } else if flags.contains_key("region") {
-        spec.regions = vec![common.region.clone()];
-    }
-    if let Some(platforms) = flags.get("platforms") {
-        spec.platforms = split_list(platforms);
-    }
-    if let Some(verifiers) = flags.get("verifiers") {
-        spec.verifiers = split_list(verifiers);
-    }
-    spec.seeds = parse_or(flags, "seeds", spec.seeds);
-    if flags.contains_key("seed") {
-        spec.seed = common.seed;
-    }
-    if bare.iter().any(|f| f == "quick") {
-        spec.quick = true;
-    }
+fn submit(args: &Args) {
+    let spec = campaign_spec(args);
+    let addr = args.value("--addr").unwrap_or(DEFAULT_ADDR);
     let spec_json =
         serde_json::to_string(&spec).unwrap_or_else(|e| die(&format!("spec serialization: {e}")));
-    let quiet = bare.iter().any(|f| f == "quiet");
+    let quiet = args.switch("--quiet");
     let client =
-        Client::connect(&addr).unwrap_or_else(|e| die(&format!("cannot reach {addr}: {e}")));
+        Client::connect(addr).unwrap_or_else(|e| die(&format!("cannot reach {addr}: {e}")));
     let outcome = client
-        .submit(&spec_json, flags.get("out").map(String::as_str), |record| {
+        .submit(&spec_json, args.value("--out"), |record| {
             // One record per line, exactly as the daemon streamed it —
             // the same bytes the batch path writes to results.jsonl.
             println!("{}", record.json);
@@ -492,37 +435,21 @@ fn submit(common: &Common, flags: &HashMap<String, String>, bare: &[String]) {
             " [incomplete]"
         }
     );
-    if outcome.failed > 0 || !outcome.complete {
-        std::process::exit(1);
-    }
+    exit_unless(outcome.failed == 0 && outcome.complete);
 }
 
-fn shutdown(flags: &HashMap<String, String>) {
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| DEFAULT_ADDR.to_owned());
-    Client::connect(&addr)
+fn shutdown(args: &Args) {
+    let addr = args.value("--addr").unwrap_or(DEFAULT_ADDR);
+    Client::connect(addr)
         .unwrap_or_else(|e| die(&format!("cannot reach {addr}: {e}")))
         .shutdown()
         .unwrap_or_else(|e| die(&format!("shutdown failed: {e}")));
     println!("daemon at {addr} is draining");
 }
 
-fn split_list(csv: &str) -> Vec<String> {
-    csv.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect()
-}
-
-/// Resolves a region name (CLI-side wrapper around the core lookup).
-fn region_by_name(name: &str) -> RegionConfig {
-    match name {
-        "us-east1" => RegionConfig::us_east1(),
-        "us-central1" => RegionConfig::us_central1(),
-        "us-west1" => RegionConfig::us_west1(),
-        other => die(&format!("unknown region {other:?}")),
-    }
+fn trace(args: &Args) {
+    let path = Path::new(&args.positionals[0]);
+    let summary = TraceSummary::read(path)
+        .unwrap_or_else(|e| die(&format!("cannot summarize {}: {e}", path.display())));
+    print!("{}", summary.render());
 }

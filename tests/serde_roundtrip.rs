@@ -1,5 +1,5 @@
 //! Serde round-trips for the data types downstream tooling consumes (the
-//! `repro --json` output and the experiment configurations).
+//! `eaao repro` output files and the experiment configurations).
 
 use eaao::prelude::*;
 
