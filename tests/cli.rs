@@ -40,16 +40,21 @@ fn repro(jobs: usize, out: &Path) -> String {
     String::from_utf8(output.stdout).expect("stdout is UTF-8")
 }
 
-/// `results.jsonl` with every record's `wall_ms` zeroed.
-fn results_without_wall_time(dir: &Path) -> Vec<RunRecord> {
+/// `results.jsonl` with every `"wall_ms":<number>` zeroed.
+fn results_without_wall_time(dir: &Path) -> String {
     let text = std::fs::read_to_string(dir.join("results.jsonl")).expect("results exist");
-    text.lines()
-        .map(|line| {
-            let mut record: RunRecord = serde_json::from_str(line).expect("record parses");
-            record.wall_ms = 0.0;
-            record
-        })
-        .collect()
+    let key = "\"wall_ms\":";
+    let mut out = String::new();
+    let mut rest = text.as_str();
+    while let Some(at) = rest.find(key) {
+        let value = &rest[at + key.len()..];
+        let end = value.find([',', '}']).expect("a field value ends");
+        out.push_str(&rest[..at + key.len()]);
+        out.push('0');
+        rest = &value[end..];
+    }
+    out.push_str(rest);
+    out
 }
 
 #[test]
@@ -67,7 +72,7 @@ fn jobs_1_and_jobs_3_print_and_write_the_same() {
     assert!(stdout_one.contains("with a 2-minute interval"));
 
     let results_one = results_without_wall_time(&one);
-    assert_eq!(results_one.len(), 4);
+    assert_eq!(results_one.lines().count(), 4);
     assert_eq!(results_one, results_without_wall_time(&three));
     for dir in [&one, &three] {
         assert!(dir.join("campaign.json").exists());
