@@ -42,8 +42,10 @@
 //! `results.jsonl`. Tracing never perturbs results: `results.jsonl` is
 //! byte-identical with tracing on or off (see `docs/OBSERVABILITY.md`).
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
 
 pub mod aggregate;
 pub mod engine;

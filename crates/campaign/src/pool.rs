@@ -101,7 +101,10 @@ fn worker_loop(me: usize, local: Worker<Job>, shared: Arc<Shared>) {
                 // pool down with it. `run_with` jobs catch their own
                 // panics and re-raise on the submitting thread; this
                 // outer catch only contains the unwind.
-                // tidy:allow(error-policy) -- run_with re-raised the payload already
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "run_with re-raised the payload already"
+                )]
                 let _ = catch_unwind(AssertUnwindSafe(job));
                 shared.finish_one();
             }
@@ -129,7 +132,10 @@ impl Drop for PoolOwner {
     fn drop(&mut self) {
         self.shared.begin_shutdown();
         for handle in self.workers.lock().drain(..) {
-            // tidy:allow(error-policy) -- panics were reported via the channel; Drop must not re-raise
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "panics were reported via the channel; Drop must not re-raise"
+            )]
             let _ = handle.join();
         }
     }
@@ -263,7 +269,10 @@ impl Executor {
             let done_tx = done_tx.clone();
             self.shared.submit(Box::new(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| work(index, task)));
-                // tidy:allow(error-policy) -- a closed channel means the submitter re-raised a panic
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a closed channel means the submitter re-raised a panic"
+                )]
                 let _ = done_tx.send((index, result));
             }));
         }

@@ -84,8 +84,11 @@ impl CpuModel {
     /// method relies on.
     pub fn new(name: impl Into<String>, nominal: TscFrequency, cache: CacheGeometry) -> Self {
         let name = name.into();
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract: fleet model names embed their base frequency"
+        )]
         let parsed = parse_base_frequency(&name)
-            // tidy:allow(panic-policy) -- documented `# Panics` contract: fleet model names embed their base frequency
             .unwrap_or_else(|| panic!("model name {name:?} has no parseable base frequency"));
         assert!(
             (parsed.as_hz() - nominal.as_hz()).abs() < 0.5,

@@ -133,6 +133,10 @@ impl DataCenter {
         generate_span.u64_field("hosts", host_count as u64);
 
         // Popularity ranks: shuffle so rank is independent of host id.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+        )]
         let mut ranks: Vec<u32> = (0..host_count as u32).collect();
         rng.shuffle(&mut ranks);
         // One draw anchors every per-host stream; host i derives
@@ -171,6 +175,10 @@ impl DataCenter {
     }
 
     /// Materializes host `i` from its order-free keyed stream.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "host ids are u32 by design; `i` indexes a pool far below 2^32 hosts"
+    )]
     fn generate_host(&self, i: usize) -> Host {
         let genesis = &*self.genesis;
         let mut rng = SimRng::keyed(genesis.stream_base, i as u64);
@@ -247,6 +255,10 @@ impl DataCenter {
     }
 
     /// All host ids.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+    )]
     pub fn host_ids(&self) -> impl Iterator<Item = HostId> + '_ {
         (0..self.len()).map(|i| HostId::from_raw(i as u32))
     }
@@ -339,6 +351,10 @@ impl DataCenter {
         let ranks = &self.genesis.ranks;
         Arc::clone(self.genesis.by_rank.get_or_init(|| {
             let mut order = vec![HostId::from_raw(0); ranks.len()];
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+            )]
             for (i, &rank) in ranks.iter().enumerate() {
                 order[rank as usize] = HostId::from_raw(i as u32);
             }

@@ -69,7 +69,10 @@ impl ContainerInstance {
     /// request that triggered its creation). `clock_seed` seeds the
     /// sandbox's clock stream; it is forked off the world's RNG by
     /// [`Sandbox::fork_clock_seed`].
-    #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the record
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one-shot constructor mirroring the record"
+    )]
     pub fn new(
         id: InstanceId,
         service: ServiceId,

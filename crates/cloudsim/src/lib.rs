@@ -34,8 +34,7 @@
 //! `cloudsim.hosts_generated`, …) so campaign records report how hard the
 //! simulated hardware was driven.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::cast_possible_truncation))]
 
 pub mod account;
 pub mod cpu;

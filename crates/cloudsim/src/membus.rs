@@ -206,6 +206,10 @@ impl LockCheckProfile {
                 if rng.chance(self.dropout_probability) {
                     return 0;
                 }
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a co-locking count is bounded by one host's instance slots"
+                )]
                 let mut units = co_locking as u32;
                 if rng.chance(self.background_probability) {
                     units += 1;

@@ -33,6 +33,10 @@ impl VpcAddress {
     /// Each account gets a /16 inside 10.0.0.0/8 (keyed by account id);
     /// hosts within it are handed out sequentially — the layout says
     /// nothing about physical placement.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each `as u8` takes one octet of the address on purpose"
+    )]
     pub fn assign(account: AccountId, index: u32) -> Self {
         let net = (account.as_raw() % 250) as u8;
         VpcAddress {

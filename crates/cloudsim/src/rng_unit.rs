@@ -82,6 +82,10 @@ impl RngUnit {
                 if rng.chance(self.dropout_probability) {
                     return 0;
                 }
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a co-pressuring count is bounded by one host's instance slots"
+                )]
                 let mut units = co_pressuring as u32;
                 if rng.chance(self.background_probability) {
                     units += 1;

@@ -226,6 +226,10 @@ impl Gen2Sandbox {
             guest_tsc: OffsetTsc::for_vm_booted_at(host.tsc(), now),
             scaled_tsc: InvariantTsc::new(now, host.nominal_frequency()),
             refined: host.refined_frequency(),
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "round() fixes the Hz-to-kHz rule; a positive GHz frequency fits u64 kHz"
+            )]
             nominal: RefinedTscFrequency::from_khz((nominal_hz / 1_000.0).round() as u64),
             mitigation,
             clock: SyscallClock::new(host.noise_profile(), clock_stream),

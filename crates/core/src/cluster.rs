@@ -55,7 +55,10 @@ impl CoLocationForest {
     fn index_of(&self, id: InstanceId) -> usize {
         match self.index.get(&id) {
             Some(&i) => i,
-            // tidy:allow(panic-policy) -- documented `# Panics` contract: callers must pass tracked ids
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` contract: callers must pass tracked ids"
+            )]
             None => panic!("unknown instance {id}"),
         }
     }

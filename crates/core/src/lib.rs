@@ -21,8 +21,7 @@
 //! `eaao-obs` spans and counters; run `eaao repro` or `eaao campaign`
 //! with `--trace FILE` to watch them (see `docs/OBSERVABILITY.md`).
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::cast_possible_truncation))]
 
 pub mod cluster;
 pub mod coverage;

@@ -66,6 +66,10 @@ pub(crate) fn note_strategy_report(span: &mut eaao_obs::SpanGuard, report: &Stra
     span.u64_field("launches", report.launches as u64);
     span.u64_field("live_instances", report.live_instances.len() as u64);
     eaao_obs::count("strategy.launches", report.launches as u64);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "round() fixes the micro-dollar rule for a non-negative spend far below 2^64"
+    )]
     eaao_obs::count(
         "strategy.spend_microusd",
         (report.cost.as_usd() * 1e6).round() as u64,

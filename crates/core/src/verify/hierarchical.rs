@@ -56,13 +56,16 @@ impl VerificationOutcome {
     ///
     /// Panics if an instance was not part of the verification.
     pub fn labels_for(&self, instances: &[InstanceId]) -> Vec<usize> {
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract: callers pass verified instances only"
+        )]
         instances
             .iter()
             .map(|id| {
                 self.clusters
                     .iter()
                     .position(|c| c.contains(id))
-                    // tidy:allow(panic-policy) -- documented `# Panics` contract: callers pass verified instances only
                     .unwrap_or_else(|| panic!("instance {id} not verified"))
             })
             .collect()
@@ -151,6 +154,10 @@ impl HierarchicalVerifier {
         verify_span.u64_field("ctests", stats.ctests as u64);
         verify_span.u64_field("pairwise_fallback", stats.pairwise_fallback_tests as u64);
         eaao_obs::observe("verify.sim_ns", stats.wall.as_nanos() as u64);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "round() fixes the micro-dollar rule for a non-negative spend far below 2^64"
+        )]
         eaao_obs::count(
             "verify.cost_microusd",
             (stats.cost.as_usd() * 1e6).round() as u64,

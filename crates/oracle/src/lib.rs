@@ -28,8 +28,7 @@
 //! [`OptimizedEngine`]: eaao_orchestrator::engine::OptimizedEngine
 //! [`minimize`]: minimize::minimize
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::cast_possible_truncation))]
 
 pub mod minimize;
 pub mod reference;

@@ -81,6 +81,10 @@ impl IndexSampler for LinearSampler {
         self.total = checked_sum(&self.weights);
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "sampler contract: callers draw `target < total()`; out-of-range is a caller bug, mirrored from wsample"
+    )]
     fn locate(&self, target: u64) -> usize {
         let mut cum = 0u64;
         for (i, &w) in self.weights.iter().enumerate() {
@@ -89,7 +93,6 @@ impl IndexSampler for LinearSampler {
                 return i;
             }
         }
-        // tidy:allow(panic-policy) -- sampler contract: callers draw `target < total()`; out-of-range is a caller bug, mirrored from wsample
         panic!("target {target} >= total {cum}");
     }
 }
@@ -117,6 +120,10 @@ pub struct ScanCapacity {
 }
 
 impl ScanCapacity {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+    )]
     fn free(&self, host: usize, occupancy: &Occupancy) -> usize {
         self.capacity - occupancy.count(HostId::from_raw(host as u32))
     }
@@ -201,6 +208,10 @@ impl CapacityIndex for ScanCapacity {
         let sampler = LinearSampler::from_weights(weights);
         let h = sampler.pick(rng)?;
         *self.taken.entry(h).or_insert(0) += 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+        )]
         Some(HostId::from_raw(h as u32))
     }
 

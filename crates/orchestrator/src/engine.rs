@@ -227,6 +227,10 @@ impl Clone for IncrementalCapacity {
 
 impl IncrementalCapacity {
     /// Committed free slots of `host`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a host's occupancy never exceeds its u32 capacity"
+    )]
     fn free(&self, host: HostId, occupancy: &Occupancy) -> u32 {
         self.capacity - occupancy.count(host) as u32
     }
@@ -253,6 +257,10 @@ impl CapacityIndex for IncrementalCapacity {
         // Built over an empty pool: free slots are the uniform genesis
         // capacity and the whole index comes from genesis lanes — no host
         // is materialized here.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "per-host capacity is a small configured slot count"
+        )]
         let capacity = dc.host_capacity() as u32;
         let pop_fixed = dc.popularity_weights();
         let total_free = dc.len() as u64 * u64::from(capacity);
@@ -344,6 +352,10 @@ impl CapacityIndex for IncrementalCapacity {
     }
 
     fn plan_spill_pick(&mut self, occupancy: &Occupancy, rng: &mut SimRng) -> Option<HostId> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+        )]
         let host = HostId::from_raw(self.avail.pick(rng)? as u32);
         let took = self.take(host, occupancy);
         debug_assert!(took, "sampled host must have an overlay-free slot");

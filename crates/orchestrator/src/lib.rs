@@ -36,8 +36,7 @@
 //! (`orchestrator.*`, `world.*`, `autoscaler.*` — see
 //! `docs/OBSERVABILITY.md`).
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::cast_possible_truncation))]
 
 pub mod autoscaler;
 pub mod config;

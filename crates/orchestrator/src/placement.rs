@@ -160,6 +160,10 @@ impl<E: Engine> CloudRunPolicy<E> {
     // tidy:allow(panic-reachability) -- host ids are dense indices below the host count, and `map` is allocated with one entry per host.
     pub fn host_cells(&self) -> Vec<u32> {
         let mut map = vec![0u32; self.by_rank.len()];
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a cell index is below `cell_count`, a small configured count"
+        )]
         for (rank, &h) in self.by_rank.iter().enumerate() {
             map[h.as_usize()] = (rank % self.cell_count) as u32;
         }
@@ -167,6 +171,10 @@ impl<E: Engine> CloudRunPolicy<E> {
     }
 
     /// The scheduling cell an account hashes to.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the hash is reduced modulo `cell_count`, so it fits a usize"
+    )]
     pub fn cell_of(&self, account: AccountId) -> usize {
         let mut x = u64::from(account.as_raw()) ^ self.cell_salt;
         // SplitMix64 finalizer.
@@ -237,12 +245,20 @@ impl<E: Engine> CloudRunPolicy<E> {
             // host subset per launch — no per-account affinity for an
             // attacker to learn, no demand-driven spreading to exploit.
             let pool = self.by_rank.len();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "ceil() before the cast and clamp(1, pool) after make the rounding rule explicit for the subset size"
+            )]
             let want =
                 ((need_new as f64 / self.config.target_density).ceil() as usize).clamp(1, pool);
             let uniform = self
                 .uniform
                 .get_or_insert_with(|| E::Sampler::from_weights(vec![1; pool]));
             let picks = sample_distinct_excluding(&*uniform, want, &[], &mut self.rng);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+            )]
             let targets: Vec<HostId> = picks
                 .into_iter()
                 .map(|i| HostId::from_raw(i as u32))
@@ -256,6 +272,10 @@ impl<E: Engine> CloudRunPolicy<E> {
         // need a home (an idle-warm launch barely explores — the paper's
         // 2-minute-interval experiment found only ~12 new hosts).
         if pressure > 0 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "round() fixes the rule for a target bounded by helper_host_max, and the pressure exponent is a small launch count"
+            )]
             let target = (self.config.helper_host_max as f64
                 * (1.0 - self.config.helper_decay.powi(pressure as i32)))
             .round() as usize;
@@ -275,6 +295,10 @@ impl<E: Engine> CloudRunPolicy<E> {
         // Target hosts for this launch.
         let helpers = self.helper_hosts(service).to_vec();
         let targets = if helpers.is_empty() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "ceil() before the cast and clamp(1, base) after make the rounding rule explicit for the subset size"
+            )]
             let want = ((need_new as f64 / self.config.target_density).ceil() as usize)
                 .clamp(1, base.len().max(1));
             if self.dynamic {
@@ -358,6 +382,10 @@ impl<E: Engine> CloudRunPolicy<E> {
     }
 
     /// Popularity-weighted sample of `count` hosts, excluding `exclude`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+    )]
     fn sample_hosts(&mut self, count: usize, exclude: &[HostId]) -> Vec<HostId> {
         let exclude: Vec<usize> = exclude.iter().map(|h| h.as_usize()).collect();
         sample_distinct_excluding(&self.pop_sampler, count, &exclude, &mut self.rng)
@@ -368,6 +396,10 @@ impl<E: Engine> CloudRunPolicy<E> {
 
     /// The first `want` of `ordered`, with mild stochastic swaps from the
     /// tail so repeated launches differ slightly.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the swap count rounds a small non-negative product below `want`, and below(n) draws fit a usize index"
+    )]
     // tidy:allow(panic-reachability) -- `want` is clamped to `ordered.len()` first, and `from`/`to` are drawn below `want` and `tail.len()` respectively.
     fn jittered_prefix(&mut self, ordered: &[HostId], want: usize) -> Vec<HostId> {
         let want = want.min(ordered.len());

@@ -301,6 +301,10 @@ impl<E: Engine> LambdaLikePolicy<E> {
         let owned: Vec<usize> = self.owned.iter().map(|h| h.as_usize()).collect();
         let picks = sample_distinct_excluding(&self.pop_sampler, 1, &owned, &mut self.rng);
         let &i = picks.first()?;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+        )]
         let host = HostId::from_raw(i as u32);
         self.owned.insert(host);
         self.claims.entry(account).or_default().push(host);
@@ -439,6 +443,10 @@ impl<E: Engine> AzureLikePolicy<E> {
     fn sample_fresh(&mut self, exclude: &[HostId]) -> Option<HostId> {
         let exclude: Vec<usize> = exclude.iter().map(|h| h.as_usize()).collect();
         let picks = sample_distinct_excluding(&self.pop_sampler, 1, &exclude, &mut self.rng);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+        )]
         picks.first().map(|&i| HostId::from_raw(i as u32))
     }
 }

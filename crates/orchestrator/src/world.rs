@@ -236,6 +236,10 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             // differential oracle asserts.
             let host_cells = policy.host_cells();
             let mut cells: Vec<Vec<HostId>> = vec![Vec::new(); policy.cell_count()];
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "host ids are u32 by design; pools stay far below 2^32 hosts"
+            )]
             for (h, &cell) in host_cells.iter().enumerate() {
                 cells[cell as usize].push(HostId::from_raw(h as u32));
             }
@@ -671,6 +675,10 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
                     return;
                 };
                 // Uniform mark of the merged per-host Poisson processes.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "below(len) is a host index, and host ids are u32 by design"
+                )]
                 let host = HostId::from_raw(self.rng.below(self.dc.len() as u64) as u32);
                 obs::count("world.host_reboots", 1);
                 self.dc.reboot_host(host, now);

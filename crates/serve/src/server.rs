@@ -38,14 +38,14 @@
 //! stream out, then [`Server::wait`] returns. Nothing is aborted.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eaao_campaign::engine::Campaign;
 use eaao_campaign::pool::Executor;
@@ -450,10 +450,16 @@ impl Server {
         // Dispatchers only exit after the drain completes, so every
         // stream is finished; now unblock the accept loops.
         self.inner.accept_stop.store(true, Ordering::SeqCst);
-        // tidy:allow(error-policy) -- wakeup nudge; a failed connect means the listener is gone
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "wakeup nudge; a failed connect means the listener is gone"
+        )]
         let _ = TcpStream::connect(self.addr);
         if let Some(addr) = self.metrics_addr {
-            // tidy:allow(error-policy) -- same wakeup nudge as above.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "wakeup nudge; a failed connect means the scrape listener is gone"
+            )]
             let _ = TcpStream::connect(addr);
         }
         if let Some(handle) = self.accept.take() {
@@ -520,6 +526,41 @@ fn scrape_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             .is_err()
         {
             inner.metrics.counter("serve.scrape_write_errors").add(1);
+            continue;
+        }
+        drain_request(stream);
+    }
+}
+
+/// How long a scrape client may take, once the page is written, to finish
+/// sending its request and close.
+const SCRAPE_DRAIN_MS: u64 = 500;
+
+/// The most request bytes a scrape connection reads before it closes anyway.
+const SCRAPE_DRAIN_CAP: usize = 16 * 1024;
+
+/// Ends a scrape connection without resetting it. The page was written
+/// without reading the request, and closing a socket whose receive buffer
+/// still holds bytes makes the kernel answer with a reset, which can
+/// destroy the page before a client that sent `GET /metrics` reads it. So
+/// half-close the write side (the client reads EOF after the page at once)
+/// and consume the request until the client closes, [`SCRAPE_DRAIN_MS`]
+/// pass, or [`SCRAPE_DRAIN_CAP`] bytes arrive.
+fn drain_request(mut stream: TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + Duration::from_millis(SCRAPE_DRAIN_MS);
+    let mut buf = [0u8; 1024];
+    let mut drained = 0;
+    while drained < SCRAPE_DRAIN_CAP {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
         }
     }
 }
@@ -633,9 +674,15 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     inner.metrics.counter("serve.clients_total").add(1);
     inner.active_clients.fetch_add(1, Ordering::Relaxed);
     let _guard = ClientGuard(inner);
-    // tidy:allow(error-policy) -- best-effort latency hint; correct (just slower) without it
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort latency hint; correct (just slower) without it"
+    )]
     let _ = stream.set_nodelay(true);
-    // tidy:allow(error-policy) -- best-effort tuning; a stalled handshake only pins one thread
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort tuning; a stalled handshake only pins one thread"
+    )]
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
         inner.config.handshake_timeout_ms.max(1),
     )));

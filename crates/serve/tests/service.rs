@@ -2,8 +2,13 @@
 //! executor, byte-identity with the batch path, typed rejections,
 //! backpressure, the scrape endpoint, and graceful drain.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the tests drive eaao-serve's sockets as its clients do"
+)]
+
 use std::collections::BTreeMap;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -113,6 +118,54 @@ fn concurrent_submissions_match_the_batch_path_byte_for_byte() {
         "scrape: {scrape}"
     );
     assert!(scrape.contains("campaign=\"c0001\""));
+
+    Client::connect(addr)
+        .expect("shutdown client connects")
+        .shutdown()
+        .expect("shutdown acknowledged");
+    server.wait().expect("drain completes");
+}
+
+#[test]
+fn scrape_clients_that_send_a_request_get_the_whole_page() {
+    let root = scratch("scrape-request");
+    let server = Server::start(config(&root)).expect("server starts");
+    let addr = server.addr();
+    let spec = r#"{"name":"scraped","experiments":["fig6"],"seeds":1,"quick":true}"#;
+    let outcome = Client::connect(addr)
+        .expect("client connects")
+        .submit(spec, None, |_| {})
+        .expect("submission succeeds");
+    assert!(outcome.complete, "campaign incomplete: {outcome:?}");
+
+    // HTTP clients send their request before reading. Half send it at
+    // once and half after a pause, so some requests land before the page
+    // is written and some after; every one must read the whole page
+    // rather than a connection reset.
+    let metrics_addr = server.metrics_addr().expect("metrics enabled");
+    let clients: Vec<_> = (0..20)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(metrics_addr).expect("scrape connects");
+                if i % 2 == 1 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                stream
+                    .write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+                    .expect("request sends");
+                let mut page = String::new();
+                stream.read_to_string(&mut page).map(|_| page)
+            })
+        })
+        .collect();
+    for (i, client) in clients.into_iter().enumerate() {
+        let page = client
+            .join()
+            .expect("scrape client thread")
+            .unwrap_or_else(|err| panic!("client {i} lost the page: {err}"));
+        assert!(page.starts_with("HTTP/1.1 200 OK"), "client {i}: {page}");
+        assert!(page.contains("campaign=\"c0001\""), "client {i}: {page}");
+    }
 
     Client::connect(addr)
         .expect("shutdown client connects")

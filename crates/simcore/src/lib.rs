@@ -28,8 +28,7 @@
 //! assert!(jitter.abs() < 1e-4);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::cast_possible_truncation))]
 
 pub mod dist;
 pub mod events;

@@ -148,6 +148,10 @@ impl SimRng {
         loop {
             let x = self.next_u64();
             let m = (x as u128) * (n as u128);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "Lemire's method keeps the low 64 bits of the 128-bit product on purpose"
+            )]
             let low = m as u64;
             if low >= n {
                 return (m >> 64) as u64;
@@ -172,6 +176,10 @@ impl SimRng {
         if items.is_empty() {
             None
         } else {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "below(len) is less than a usize length, so it fits a usize"
+            )]
             Some(&items[self.below(items.len() as u64) as usize])
         }
     }
@@ -179,6 +187,10 @@ impl SimRng {
     /// Fisher–Yates shuffles `items` in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "below(i + 1) is at most a usize index, so it fits a usize"
+            )]
             let j = self.below(i as u64 + 1) as usize;
             items.swap(i, j);
         }

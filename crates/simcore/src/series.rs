@@ -106,6 +106,10 @@ impl Series {
         let mut summaries = Vec::with_capacity(n);
         for i in 0..n {
             let x = runs[0].points[i].0;
+            #[expect(
+                clippy::float_cmp,
+                reason = "the runs share one x grid, so matching coordinates are bit-identical copies"
+            )]
             for s in runs {
                 assert_eq!(s.points[i].0, x, "series x-coordinate mismatch");
             }

@@ -239,6 +239,10 @@ impl Ecdf {
     pub fn quantile(&self, q: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "quantile of empty sample");
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "ceil() before the cast and clamp(1, len) after make the nearest-rank rule explicit"
+        )]
         let idx = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
         self.sorted[idx - 1]
     }

@@ -77,6 +77,10 @@ impl SimTime {
     }
 
     /// Creates an instant from fractional seconds since the epoch.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the documented float-to-tick quantization boundary: round() fixes the rule before entering the i64 tick lane"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimTime((secs * NANOS_PER_SEC as f64).round() as i64)
     }
@@ -227,6 +231,10 @@ impl SimDuration {
     }
 
     /// Creates a span from fractional seconds.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the documented float-to-tick quantization boundary: round() fixes the rule before entering the i64 tick lane"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimDuration((secs * NANOS_PER_SEC as f64).round() as i64)
     }
@@ -328,6 +336,10 @@ impl Mul<i64> for SimDuration {
 impl Mul<f64> for SimDuration {
     type Output = SimDuration;
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the documented float-to-tick quantization boundary: round() fixes the rule before re-entering the i64 tick lane"
+    )]
     fn mul(self, rhs: f64) -> SimDuration {
         SimDuration((self.0 as f64 * rhs).round() as i64)
     }

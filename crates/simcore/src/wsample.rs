@@ -42,6 +42,10 @@ pub const WEIGHT_SCALE: f64 = (1u64 << 40) as f64;
 ///
 /// Panics if `weight` is negative, non-finite, or ≥ 2²³ (which would risk
 /// overflowing the `u64` total across a million-entry pool).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the documented weight quantization boundary: round() against WEIGHT_SCALE then max(1) fixes the rule entering the u64 sampler lane"
+)]
 pub fn fixed_weight(weight: f64) -> u64 {
     assert!(
         weight.is_finite() && weight >= 0.0,

@@ -138,8 +138,8 @@ pub fn apply(baseline: &Baseline, semantic: Vec<Diagnostic>) -> (Vec<Diagnostic>
                 e.line,
                 CheckId::Baseline,
                 format!(
-                    "`{}` is not a baselinable check: only panic-reachability, \
-                     determinism-taint, and lock-order findings may be baselined",
+                    "`{}` is not a baselinable check: only semantic (call-graph, \
+                     field-level, concurrency) findings may be baselined",
                     e.check
                 ),
             ));

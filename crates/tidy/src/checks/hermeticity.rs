@@ -123,7 +123,7 @@ fn split_dep_line(line: &str) -> Option<(&str, &str)> {
 }
 
 /// Drops a `# comment` unless the `#` sits inside a quoted string.
-fn strip_toml_comment(line: &str) -> &str {
+pub(crate) fn strip_toml_comment(line: &str) -> &str {
     let mut in_str = false;
     for (i, c) in line.char_indices() {
         match c {

@@ -1,43 +1,30 @@
 //! The checks, and the shared per-file plumbing they all use.
 //!
-//! The lexical checks (`determinism`, `panics`, `headers`, `unsafe_code`,
-//! `hermeticity`) each scan one file; the semantic checks
-//! (`panic_reach`, `taint`, `lock_order`) run over the whole-workspace
-//! call graph; the concurrency checks (`threads`, `queues`,
-//! `error_policy`, `wire`) run over the per-function lifecycle model.
-//! All kinds produce *raw* findings; the driver applies
-//! inline suppressions once, centrally, via [`filter_suppressed`] and
-//! [`account_suppressions`] — per-check suppression handling is
-//! deliberately impossible to re-implement, because a sixth copy of that
-//! logic is how suppression semantics drift.
+//! The lexical checks (`determinism`, `hermeticity`) each scan one file;
+//! the semantic checks (`panic_reach`, `taint`, `lock_order`) run over the
+//! whole-workspace call graph; the field-level checks (`fork_cov`, `cow`)
+//! run over the struct/field model; the concurrency checks (`threads`,
+//! `queues`, `wire`) run over the per-function lifecycle model. All kinds
+//! produce *raw* findings; the driver applies inline suppressions once,
+//! centrally, via [`filter_suppressed`] and [`account_suppressions`] —
+//! per-check suppression handling is deliberately impossible to
+//! re-implement, because a second copy of that logic is how suppression
+//! semantics drift.
 
 pub mod cow;
 pub mod determinism;
-pub mod error_policy;
-pub mod float_det;
 pub mod fork_cov;
-pub mod headers;
 pub mod hermeticity;
 pub mod lock_order;
-pub mod net;
 pub mod panic_reach;
-pub mod panics;
 pub mod queues;
 pub mod taint;
 pub mod threads;
-pub mod unsafe_code;
 pub mod wire;
 
-use crate::diag::{CheckId, Diagnostic};
+use crate::diag::{self, CheckId, Diagnostic};
 use crate::policy::{CratePolicy, FileKind};
 use crate::source::{Line, SourceFile};
-
-/// The check names a `tidy:allow(...)` may legally name, for the
-/// unknown-check diagnostic.
-pub const SUPPRESSIBLE_CHECKS: &str = "determinism, unsafe-policy, crate-header, panic-policy, \
-     net-policy, hermeticity, panic-reachability, determinism-taint, lock-order, \
-     fork-coverage, cow-aliasing, float-determinism, thread-lifecycle, queue-bounds, \
-     error-policy, wire-schema";
 
 /// Finds `pattern` in masked code with identifier boundaries on both ends
 /// (`HashMap` does not match `FxHashMap` or `HashMaps`; `std::fs` does
@@ -97,20 +84,6 @@ pub fn lexical_checks(
     if policy.determinism && kind == FileKind::LibSrc {
         determinism::check(rel, src, raw);
     }
-    if !policy.net && !policy.determinism && kind == FileKind::LibSrc {
-        // Simulation-critical crates already ban `std::net` through the
-        // determinism check; re-running the net check there would double-
-        // report the same line under two names.
-        net::check(rel, src, raw);
-    }
-    if kind == FileKind::LibSrc {
-        panics::check(rel, src, raw);
-        headers::check_allow_attributes(rel, src, raw);
-    }
-    unsafe_code::check(rel, src, raw);
-    if rel.ends_with("src/lib.rs") {
-        headers::check_lint_header(rel, src, raw);
-    }
 }
 
 /// Applies the file's inline suppressions to `raw`, pushing the surviving
@@ -133,13 +106,15 @@ pub fn filter_suppressed(
 pub fn account_suppressions(rel: &str, src: &SourceFile, used: &[bool], out: &mut Vec<Diagnostic>) {
     for (s, used) in src.suppressions.iter().zip(used) {
         if s.check.is_none() {
+            let known: Vec<&str> = diag::suppressible().map(CheckId::name).collect();
             out.push(Diagnostic::new(
                 rel,
                 s.declared_at,
                 CheckId::Suppression,
                 format!(
-                    "unknown check `{}` in tidy:allow (known: {SUPPRESSIBLE_CHECKS})",
-                    s.check_name
+                    "unknown check `{}` in tidy:allow (known: {})",
+                    s.check_name,
+                    known.join(", ")
                 ),
             ));
         } else if !s.justified {

@@ -1,9 +1,9 @@
 //! Panic-reachability: public APIs that can transitively reach a panic.
 //!
-//! The lexical `panic-policy` check sees `unwrap()` on the line it is
-//! written; this check follows the call graph, so a `pub fn` that calls a
-//! private helper that calls something that slices with a non-literal
-//! index is still on the hook. Panic **sources** are `panic!`, `todo!`,
+//! Clippy's panic lints (`unwrap_used`, `panic`) see `unwrap()` on the
+//! line it is written; this check follows the call graph, so a `pub fn`
+//! that calls a private helper that calls something that slices with a
+//! non-literal index is still on the hook. Panic **sources** are `panic!`, `todo!`,
 //! `unimplemented!`, bare `unwrap()`, and non-literal indexing (`xs[i]`;
 //! `xs[0]` and range slices are exempt). `expect("...")` is deliberately
 //! *not* a source: it is the sanctioned spelling for checked invariants.

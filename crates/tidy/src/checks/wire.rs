@@ -26,6 +26,9 @@ use crate::diag::{CheckId, Diagnostic};
 use crate::fields::FileInput;
 use crate::parse::TypeDefKind;
 
+/// The service crate, whose `src/` holds the wire enums and both peers.
+const SERVICE_DIR: &str = "crates/serve";
+
 /// The wire enums and the peer source file that must handle each.
 const ENUMS: &[(&str, &str)] = &[
     ("ClientFrame", "src/server.rs"),
@@ -42,7 +45,7 @@ pub fn check(
 ) {
     let Some(proto) = inputs
         .iter()
-        .find(|i| i.policy.net && i.rel.ends_with("src/proto.rs"))
+        .find(|i| i.policy.dir == SERVICE_DIR && i.rel.ends_with("src/proto.rs"))
     else {
         return;
     };
@@ -61,7 +64,7 @@ pub fn check(
         // knows the frame exists).
         if let Some(peer) = inputs
             .iter()
-            .find(|i| i.policy.net && i.rel.ends_with(peer_suffix))
+            .find(|i| i.policy.dir == SERVICE_DIR && i.rel.ends_with(peer_suffix))
         {
             for v in &def.fields {
                 let pat = format!("{enum_name}::{}", v.name);

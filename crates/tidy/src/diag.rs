@@ -9,19 +9,12 @@ pub enum CheckId {
     /// Iteration-order hazards, wall-clock reads, ambient I/O, and
     /// non-seeded RNG construction in simulation-critical crates.
     Determinism,
-    /// `unsafe` outside the (currently empty) allowlist, or an allowlisted
-    /// block missing its `// SAFETY:` comment.
-    UnsafePolicy,
-    /// Missing standard lint headers on a `lib.rs`, unjustified
-    /// `#[allow(...)]`, or a crate absent from the policy table.
-    CrateHeader,
-    /// `unwrap()` / `panic!` / `todo!` / `unimplemented!` in library code.
-    PanicPolicy,
-    /// Socket types (`std::net`) in a crate whose policy row does not
-    /// sanction network I/O — the service boundary lives in one crate.
-    NetPolicy,
     /// Registry or git dependencies in a `Cargo.toml`.
     Hermeticity,
+    /// A crate absent from the policy table, a registered crate whose
+    /// manifest does not opt into the workspace lint table, or a source
+    /// file of a registered crate that cannot be read.
+    Registration,
     /// A malformed, unknown, or unused `tidy:allow` suppression.
     Suppression,
     /// A public API that can transitively reach an undocumented panic
@@ -42,10 +35,6 @@ pub enum CheckId {
     /// `Arc::make_mut`, or interior mutability visible through a sharing
     /// clone (field-level check).
     CowAliasing,
-    /// Unordered float reduction, float `==`/`!=` comparison, or
-    /// truncating `as` cast on a float in a simulation-critical crate
-    /// (field-level check).
-    FloatDeterminism,
     /// A spawned thread whose `JoinHandle` is discarded or never joined,
     /// or a dispatcher-path worker closure that can panic without a
     /// `catch_unwind` barrier (concurrency check).
@@ -53,10 +42,6 @@ pub enum CheckId {
     /// A cross-thread queue built unbounded with no `bound:` comment
     /// naming the enforcing mechanism (concurrency check).
     QueueBounds,
-    /// A swallowed `Result` in service-crate library code: `let _ =`,
-    /// `.ok()`-discard, or a statement-dropped `#[must_use]` value
-    /// (concurrency check).
-    ErrorPolicy,
     /// Drift between the `proto.rs` wire enums, the frames the peer
     /// actually handles, and the frame tables in `docs/SERVICE.md`
     /// (concurrency check).
@@ -67,73 +52,50 @@ pub enum CheckId {
 }
 
 impl CheckId {
-    /// The kebab-case name used in diagnostics and suppressions.
+    /// The kebab-case name used in diagnostics and suppressions — the one
+    /// place a check's name is written.
     pub fn name(self) -> &'static str {
         match self {
             CheckId::Determinism => "determinism",
-            CheckId::UnsafePolicy => "unsafe-policy",
-            CheckId::CrateHeader => "crate-header",
-            CheckId::PanicPolicy => "panic-policy",
-            CheckId::NetPolicy => "net-policy",
             CheckId::Hermeticity => "hermeticity",
+            CheckId::Registration => "registration",
             CheckId::Suppression => "suppression",
             CheckId::PanicReach => "panic-reachability",
             CheckId::DeterminismTaint => "determinism-taint",
             CheckId::LockOrder => "lock-order",
             CheckId::ForkCoverage => "fork-coverage",
             CheckId::CowAliasing => "cow-aliasing",
-            CheckId::FloatDeterminism => "float-determinism",
             CheckId::ThreadLifecycle => "thread-lifecycle",
             CheckId::QueueBounds => "queue-bounds",
-            CheckId::ErrorPolicy => "error-policy",
             CheckId::WireSchema => "wire-schema",
             CheckId::Baseline => "baseline",
         }
     }
 
-    /// Resolves a suppression name back to a check. `suppression` and
-    /// `baseline` are not suppressible — meta-findings must be fixed, not
-    /// silenced.
+    /// Resolves a suppression name back to a check. The `meta` checks
+    /// (`registration`, `suppression`, `baseline`) are not suppressible —
+    /// findings about the tool's own inputs must be fixed, not silenced.
     pub fn from_name(name: &str) -> Option<CheckId> {
-        match name {
-            "determinism" => Some(CheckId::Determinism),
-            "unsafe-policy" => Some(CheckId::UnsafePolicy),
-            "crate-header" => Some(CheckId::CrateHeader),
-            "panic-policy" => Some(CheckId::PanicPolicy),
-            "net-policy" => Some(CheckId::NetPolicy),
-            "hermeticity" => Some(CheckId::Hermeticity),
-            "panic-reachability" => Some(CheckId::PanicReach),
-            "determinism-taint" => Some(CheckId::DeterminismTaint),
-            "lock-order" => Some(CheckId::LockOrder),
-            "fork-coverage" => Some(CheckId::ForkCoverage),
-            "cow-aliasing" => Some(CheckId::CowAliasing),
-            "float-determinism" => Some(CheckId::FloatDeterminism),
-            "thread-lifecycle" => Some(CheckId::ThreadLifecycle),
-            "queue-bounds" => Some(CheckId::QueueBounds),
-            "error-policy" => Some(CheckId::ErrorPolicy),
-            "wire-schema" => Some(CheckId::WireSchema),
-            _ => None,
-        }
+        suppressible().find(|check| check.name() == name)
     }
 
     /// Whether the check is one of the workspace-model (semantic) checks
     /// — call-graph, field-level, or concurrency — the only findings the
     /// baseline ratchet may carry.
     pub fn is_semantic(self) -> bool {
-        matches!(
-            self,
-            CheckId::PanicReach
-                | CheckId::DeterminismTaint
-                | CheckId::LockOrder
-                | CheckId::ForkCoverage
-                | CheckId::CowAliasing
-                | CheckId::FloatDeterminism
-                | CheckId::ThreadLifecycle
-                | CheckId::QueueBounds
-                | CheckId::ErrorPolicy
-                | CheckId::WireSchema
-        )
+        CHECK_REGISTRY.iter().any(|info| {
+            info.check == self && matches!(info.layer, "call-graph" | "field-level" | "concurrency")
+        })
     }
+}
+
+/// The checks a `tidy:allow(...)` may name: every registered check outside
+/// the `meta` layer, in registry order.
+pub fn suppressible() -> impl Iterator<Item = CheckId> {
+    CHECK_REGISTRY
+        .iter()
+        .filter(|info| info.layer != "meta")
+        .map(|info| info.check)
 }
 
 impl fmt::Display for CheckId {
@@ -151,7 +113,7 @@ pub struct CheckInfo {
     /// Analysis layer: `lexical` (per-line), `call-graph` (workspace
     /// function graph), `field-level` (struct/field model), `concurrency`
     /// (thread/queue/wire lifecycle model), or `meta` (findings about the
-    /// tool's own inputs).
+    /// tool's own inputs, which no suppression can silence).
     pub layer: &'static str,
     /// One-line contract: what a finding means.
     pub contract: &'static str,
@@ -160,8 +122,8 @@ pub struct CheckInfo {
 }
 
 /// Every registered check, in `CheckId` order. `--list-checks` renders
-/// this table; tests assert it stays in sync with [`CheckId`], the
-/// suppressible-check list, and `docs/STATIC_ANALYSIS.md`.
+/// this table, suppression names resolve against it, and tests assert it
+/// stays in sync with [`CheckId`] and `docs/STATIC_ANALYSIS.md`.
 pub const CHECK_REGISTRY: &[CheckInfo] = &[
     CheckInfo {
         check: CheckId::Determinism,
@@ -170,34 +132,16 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         scope: "library sources of crates with policy determinism=true",
     },
     CheckInfo {
-        check: CheckId::UnsafePolicy,
-        layer: "lexical",
-        contract: "no `unsafe` outside the allowlist; allowlisted blocks carry // SAFETY:",
-        scope: "every Rust file in the workspace",
-    },
-    CheckInfo {
-        check: CheckId::CrateHeader,
-        layer: "lexical",
-        contract: "lib.rs lint headers present; #[allow] justified; crate has a policy row",
-        scope: "every workspace crate",
-    },
-    CheckInfo {
-        check: CheckId::PanicPolicy,
-        layer: "lexical",
-        contract: "no unwrap/panic!/todo!/unimplemented! in library code",
-        scope: "library sources of every crate",
-    },
-    CheckInfo {
-        check: CheckId::NetPolicy,
-        layer: "lexical",
-        contract: "socket types only in crates with policy net=true",
-        scope: "library sources of crates with policy net=false",
-    },
-    CheckInfo {
         check: CheckId::Hermeticity,
         layer: "lexical",
         contract: "no registry or git dependencies in any Cargo.toml",
         scope: "every manifest in the workspace",
+    },
+    CheckInfo {
+        check: CheckId::Registration,
+        layer: "meta",
+        contract: "every crate has a policy row and sets `[lints] workspace = true`; every registered source file is readable",
+        scope: "every crate directory under crates/ and every registered crate",
     },
     CheckInfo {
         check: CheckId::Suppression,
@@ -236,12 +180,6 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         scope: "library sources of crates with policy fork_surface=true",
     },
     CheckInfo {
-        check: CheckId::FloatDeterminism,
-        layer: "field-level",
-        contract: "no unordered float reductions, float ==/!=, or truncating float casts",
-        scope: "library sources of crates with policy float_det=true",
-    },
-    CheckInfo {
         check: CheckId::ThreadLifecycle,
         layer: "concurrency",
         contract: "every spawned thread is joined, tracked, or justified; dispatcher-path workers carry catch_unwind barriers",
@@ -251,12 +189,6 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         check: CheckId::QueueBounds,
         layer: "concurrency",
         contract: "every cross-thread queue is bounded or names its bound in a `bound:` comment",
-        scope: "library sources of crates with policy concurrency=true",
-    },
-    CheckInfo {
-        check: CheckId::ErrorPolicy,
-        layer: "concurrency",
-        contract: "no `let _ =`, `.ok()`-discard, or dropped #[must_use] value in library code",
         scope: "library sources of crates with policy concurrency=true",
     },
     CheckInfo {
@@ -335,26 +267,10 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for check in [
-            CheckId::Determinism,
-            CheckId::UnsafePolicy,
-            CheckId::CrateHeader,
-            CheckId::PanicPolicy,
-            CheckId::NetPolicy,
-            CheckId::Hermeticity,
-            CheckId::PanicReach,
-            CheckId::DeterminismTaint,
-            CheckId::LockOrder,
-            CheckId::ForkCoverage,
-            CheckId::CowAliasing,
-            CheckId::FloatDeterminism,
-            CheckId::ThreadLifecycle,
-            CheckId::QueueBounds,
-            CheckId::ErrorPolicy,
-            CheckId::WireSchema,
-        ] {
+        for check in suppressible() {
             assert_eq!(CheckId::from_name(check.name()), Some(check));
         }
+        assert_eq!(CheckId::from_name("registration"), None);
         assert_eq!(CheckId::from_name("suppression"), None);
         assert_eq!(CheckId::from_name("baseline"), None);
         assert_eq!(CheckId::from_name("bogus"), None);
@@ -362,51 +278,51 @@ mod tests {
 
     #[test]
     fn only_workspace_model_checks_are_semantic() {
+        // One line per check: `is_semantic` reads the registry's `layer`,
+        // so a mislabelled row would change what the baseline may carry.
         assert!(CheckId::PanicReach.is_semantic());
         assert!(CheckId::DeterminismTaint.is_semantic());
         assert!(CheckId::LockOrder.is_semantic());
         assert!(CheckId::ForkCoverage.is_semantic());
         assert!(CheckId::CowAliasing.is_semantic());
-        assert!(CheckId::FloatDeterminism.is_semantic());
         assert!(CheckId::ThreadLifecycle.is_semantic());
         assert!(CheckId::QueueBounds.is_semantic());
-        assert!(CheckId::ErrorPolicy.is_semantic());
         assert!(CheckId::WireSchema.is_semantic());
         assert!(!CheckId::Determinism.is_semantic());
+        assert!(!CheckId::Hermeticity.is_semantic());
+        assert!(!CheckId::Registration.is_semantic());
+        assert!(!CheckId::Suppression.is_semantic());
         assert!(!CheckId::Baseline.is_semantic());
     }
 
     #[test]
     fn the_registry_covers_every_check_exactly_once() {
         // CHECK_REGISTRY is in CheckId order and total: strictly
-        // ascending ids, one per variant, with the name round-trip
-        // confirming each entry is a real check.
+        // ascending ids, one per variant, each with a distinct name.
         for pair in CHECK_REGISTRY.windows(2) {
             assert!(pair[0].check < pair[1].check, "registry out of order");
         }
-        assert_eq!(CHECK_REGISTRY.len(), 18, "new CheckId? register it here");
-        for info in CHECK_REGISTRY {
+        assert_eq!(CHECK_REGISTRY.len(), 13, "new CheckId? register it here");
+        for (i, a) in CHECK_REGISTRY.iter().enumerate() {
+            for b in &CHECK_REGISTRY[i + 1..] {
+                assert_ne!(a.check.name(), b.check.name(), "duplicate name");
+            }
+            // `from_name` reads the `meta` layer, so pin suppressibility
+            // per check rather than through the layer it derives from.
             assert_eq!(
-                CheckId::from_name(info.check.name()).is_some(),
-                info.check != CheckId::Suppression && info.check != CheckId::Baseline,
+                CheckId::from_name(a.check.name()).is_some(),
+                !matches!(
+                    a.check,
+                    CheckId::Registration | CheckId::Suppression | CheckId::Baseline
+                ),
                 "suppressibility drifted for {}",
-                info.check
+                a.check
             );
-            assert!(!info.contract.is_empty() && !info.scope.is_empty());
+            assert!(!a.contract.is_empty() && !a.scope.is_empty());
             assert!(matches!(
-                info.layer,
+                a.layer,
                 "lexical" | "call-graph" | "field-level" | "concurrency" | "meta"
             ));
-        }
-        // Semantic checks are exactly the call-graph, field-level, and
-        // concurrency layers.
-        for info in CHECK_REGISTRY {
-            assert_eq!(
-                info.check.is_semantic(),
-                matches!(info.layer, "call-graph" | "field-level" | "concurrency"),
-                "layer/semantic drift for {}",
-                info.check
-            );
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Field-level workspace model: the struct/field layer under the
-//! `fork-coverage`, `cow-aliasing`, and `float-determinism` checks.
+//! `fork-coverage` and `cow-aliasing` checks.
 //!
 //! The call graph ([`crate::graph`]) reasons about what functions *reach*;
 //! this model reasons about what types *carry*. It collects every
 //! `struct`/`enum` definition in the fork-surface crates (the
 //! [`CratePolicy::fork_surface`] policy column), classifies each field's
-//! declared type (`Arc`-shared, interior-mutable, float), attaches the
+//! declared type (`Arc`-shared, interior-mutable), attaches the
 //! fork-path functions (`clone`/`fork`/`branch`/`snapshot` impls), and
 //! computes the **fork surface**: the transitive closure of types that
 //! participate in the snapshot/branch contract.
@@ -55,8 +55,8 @@ pub const INTERIOR_TOKENS: &[&str] = &[
     "UnsafeCell",
 ];
 
-/// One file's worth of input to the field model (and to the per-file
-/// `float-determinism` scan): the lexed source and the item model of a
+/// One file's worth of input to the field model (and to the cow-aliasing
+/// and wire-schema line scans): the lexed source and the item model of a
 /// `src/` file, tagged with its crate policy.
 #[derive(Debug, Clone, Copy)]
 pub struct FileInput<'a> {

@@ -8,6 +8,14 @@
 //! dependency-free pass built on a masking lexer, which is exactly what a
 //! hermetic, registry-free workspace can support.
 //!
+//! The rules a compiler lint can check live in the workspace lint table
+//! instead (`[workspace.lints]` in the root `Cargo.toml`, `clippy.toml`,
+//! and crate-level `#![cfg_attr(not(test), warn(...))]` lines): no
+//! `unsafe`, documented public items, no `unwrap`/`panic!` in library
+//! code, sockets only in `eaao-serve`, no swallowed `#[must_use]` results
+//! in the service runtime, and no float `==` or truncating casts in the
+//! simulation crates. This crate keeps what no lint can do.
+//!
 //! The pass has four layers. The **lexical** checks look at one masked
 //! line at a time. The **semantic** checks parse every `src/` file into an
 //! item-level model ([`parse`]), assemble a workspace call graph
@@ -18,11 +26,10 @@
 //! **field-level** checks ([`fields`]) model the snapshot/branch fork
 //! surface — which types flow through `clone`/`fork`/`branch`/`snapshot`,
 //! and what each of their fields is made of — so a fork path that forgets
-//! a field, an `Arc` lane written around `Arc::make_mut`, or a float
-//! reduction outside the fixed-point lanes is a finding. The
-//! **concurrency** checks model the service runtime's thread lifecycle —
-//! spawn sites and the fate of each `JoinHandle`, queue constructions
-//! with bounded/unbounded classification, swallowed `Result`s, and the
+//! a field, or an `Arc` lane written around `Arc::make_mut`, is a
+//! finding. The **concurrency** checks model the service runtime's
+//! thread lifecycle — spawn sites and the fate of each `JoinHandle`,
+//! queue constructions with bounded/unbounded classification, and the
 //! wire-protocol enums against the peers and docs that must track them —
 //! so a detached worker, an unbounded daemon queue, or a frame the
 //! server no longer handles is a finding.
@@ -32,21 +39,16 @@
 //! | check | layer | what it forbids |
 //! |---|---|---|
 //! | `determinism` | lexical | `HashMap`/`HashSet`, `SystemTime`/`Instant`, `std::env`, `std::fs`/`std::net`/`std::process`, and non-seeded RNG construction in simulation-critical crates |
-//! | `unsafe-policy` | lexical | `unsafe` outside the allowlist (currently empty); allowlisted blocks must carry `// SAFETY:` |
-//! | `crate-header` | lexical | a `lib.rs` missing the standard lint set, or an `#[allow(...)]` without a justification comment |
-//! | `panic-policy` | lexical | `unwrap()` / `panic!` / `todo!` / `unimplemented!` in library code (`expect("invariant")` is the sanctioned form) |
-//! | `net-policy` | lexical | `std::net` imports and socket types in any crate whose policy row lacks the `net` allowance (only `eaao-serve` has it) |
 //! | `hermeticity` | lexical | registry or git dependencies in any `Cargo.toml` (workspace/`vendor/` path deps only) |
-//! | `suppression` | lexical | malformed, unknown, or unused `tidy:allow` suppressions |
-//! | `panic-reachability` | semantic | a public API that transitively reaches an undocumented panic source |
-//! | `determinism-taint` | semantic | a simulation-critical function calling a host-crate function that transitively reaches a nondeterminism source |
-//! | `lock-order` | semantic | cycles in the `Mutex` acquisition-order graph; locks held across calls into lock-taking functions |
+//! | `registration` | meta | a crate under `crates/` with no policy row, a registered crate whose manifest lacks `[lints] workspace = true`, or an unreadable source file |
+//! | `suppression` | meta | malformed, unknown, or unused `tidy:allow` suppressions |
+//! | `panic-reachability` | call-graph | a public API that transitively reaches an undocumented panic source |
+//! | `determinism-taint` | call-graph | a simulation-critical function calling a host-crate function that transitively reaches a nondeterminism source |
+//! | `lock-order` | call-graph | cycles in the `Mutex` acquisition-order graph; locks held across calls into lock-taking functions |
 //! | `fork-coverage` | field-level | a fork-surface type whose fork path does not decide every field's share-vs-detach fate (a `derive(Clone)` sharing an `Arc` field, or a fork body that never names a field) |
 //! | `cow-aliasing` | field-level | writes to fork-surface `Arc` lanes that dodge `Arc::make_mut`; interior mutability inside a shared `Arc` or on a `Clone` fork-surface type |
-//! | `float-determinism` | field-level | unordered float reductions, float `==`/`!=`, and truncating `as`-casts from floats in `float_det` crates |
 //! | `thread-lifecycle` | concurrency | discarded or leaked `JoinHandle`s, and spawned workers that can die to an uncaught panic, in `concurrency` crates |
 //! | `queue-bounds` | concurrency | queue constructions that neither fix a capacity nor name their bound in a `// bound: …` comment |
-//! | `error-policy` | concurrency | `let _ =` / statement-`.ok()` discards and dropped `#[must_use]` results in service-crate library code |
 //! | `wire-schema` | concurrency | protocol-enum variants unhandled by the peer or out of sync with the `docs/SERVICE.md` frame tables |
 //! | `baseline` | meta | stale, duplicate, unjustified, or malformed `tidy-baseline.json` entries |
 //!
@@ -66,7 +68,10 @@
 //! without one is itself a finding), the check name must exist, and a
 //! suppression that no longer silences anything is reported as unused so
 //! stale escapes cannot accumulate. For the semantic checks a suppression
-//! on a function's signature line is also a propagation *barrier*.
+//! on a function's signature line is also a propagation *barrier*. The
+//! lint table's findings are silenced the compiler's way instead:
+//! `#[expect(clippy::lint, reason = "why")]` on the narrowest item or
+//! statement, which rustc reports once it stops firing.
 //!
 //! Semantic findings can alternatively be carried as known debt in
 //! `tidy-baseline.json` ([`baseline`]) — a one-way ratchet: new findings
@@ -85,9 +90,6 @@
 //!
 //! Diagnostics are `file:line: [check-name] message`, sorted by path, and
 //! byte-identical across runs on the same tree.
-
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 pub mod baseline;
 pub mod checks;

@@ -46,11 +46,6 @@ pub struct CallSite {
     pub line: usize,
     /// Lock names (see [`LockAcquire::lock`]) held when the call is made.
     pub holding: Vec<String>,
-    /// Whether the call is a whole statement whose value is dropped: the
-    /// receiver/path starts the line and the matching `)` meets a bare
-    /// `;`. `let x = …`, `?`, chained calls, and values flowing into an
-    /// enclosing expression are all `false`.
-    pub stmt: bool,
 }
 
 /// One `.lock()` acquisition inside a function body.
@@ -181,8 +176,6 @@ pub struct FnItem {
     /// 1-based lines carrying a `catch_unwind` token — unwind barriers
     /// for the thread-lifecycle check.
     pub catch_unwinds: Vec<usize>,
-    /// Whether the item carries a `#[must_use]` attribute.
-    pub has_must_use: bool,
     /// Every identifier token appearing in the body — the raw material of
     /// the per-field mention tracking behind the `fork-coverage` check.
     pub body_idents: std::collections::BTreeSet<String>,
@@ -315,7 +308,7 @@ struct HeldGuard {
     depth: i64,
 }
 
-/// Paren-depth tracking for a call whose argument list spans lines:
+/// Paren-depth tracking for a spawn whose argument list spans lines:
 /// which site to finish classifying once the matching `)` (and the
 /// character after it) is seen.
 #[derive(Debug, Clone, Copy)]
@@ -341,9 +334,6 @@ struct Parser<'a> {
     held: Vec<HeldGuard>,
     /// Open multi-line spawn argument list, if any.
     spawn_track: Option<ParenTrack>,
-    /// Open multi-line statement-position call, if any (for the
-    /// discarded-result classification of [`CallSite::stmt`]).
-    stmt_track: Option<ParenTrack>,
     /// Per-file derived determinism tokens (from banned imports).
     derived_tokens: Vec<String>,
     /// Lines with a justified `tidy:allow(determinism)` (sources there are
@@ -385,7 +375,6 @@ impl FileModel {
             pending_ctx: None,
             held: Vec::new(),
             spawn_track: None,
-            stmt_track: None,
             derived_tokens: Vec::new(),
             det_suppressed,
             locals: std::collections::BTreeSet::new(),
@@ -817,7 +806,6 @@ impl Parser<'_> {
             queues: Vec::new(),
             condvar_waits: Vec::new(),
             catch_unwinds: Vec::new(),
-            has_must_use: attrs_have_must_use(self.lines, idx),
             body_idents: std::collections::BTreeSet::new(),
         };
         self.pending = Some(PendingFn {
@@ -874,7 +862,7 @@ impl Parser<'_> {
     /// Scans one line of a function body: facts first, then braces.
     fn body_line(&mut self, code: &str, lineno: usize, in_test: bool) {
         if !in_test {
-            self.advance_tracks(code, lineno);
+            self.advance_track(code, lineno);
             self.scan_locals(code);
             self.scan_locks(code, lineno);
             self.scan_spawn_bindings(code, lineno);
@@ -1131,56 +1119,21 @@ impl Parser<'_> {
                 }
                 continue;
             }
-            // Statement position: the receiver/path chain starts the line
-            // and the matching `)` meets a bare `;`, so the call's value
-            // is dropped on the spot.
-            let mut chain_start = start;
-            while chain_start > 0 {
-                let c = chars[chain_start - 1];
-                if is_ident(c) || c == '.' || c == ':' {
-                    chain_start -= 1;
-                } else {
-                    break;
-                }
-            }
-            let stmt_pos = chars[..chain_start].iter().all(|c| c.is_whitespace());
-            let mut stmt = false;
-            let mut open = None; // argument list spans lines: (depth, awaiting_tail)
-            if stmt_pos {
-                let rest: String = chars[j..].iter().collect();
-                match step_track(&rest, 0, false) {
-                    TrackOutcome::Open(depth) => open = Some((depth, false)),
-                    TrackOutcome::AwaitTail => open = Some((0, true)),
-                    TrackOutcome::Done(dropped) => stmt = dropped,
-                }
-            }
             let holding = self.held_names();
             if let Some(fn_idx) = self.in_fn() {
-                let site_idx = self.model.fns[fn_idx].calls.len();
                 self.model.fns[fn_idx].calls.push(CallSite {
                     target,
                     line: lineno,
                     holding,
-                    stmt,
                 });
-                if let Some((depth, awaiting_tail)) = open {
-                    if self.stmt_track.is_none() {
-                        self.stmt_track = Some(ParenTrack {
-                            fn_idx,
-                            site_idx,
-                            depth,
-                            awaiting_tail,
-                        });
-                    }
-                }
             }
         }
     }
 
-    /// Advances the open multi-line spawn and statement-call trackers over
-    /// one more body line, finishing each classification once the matching
-    /// `)` and the character after it have been seen.
-    fn advance_tracks(&mut self, code: &str, lineno: usize) {
+    /// Advances the open multi-line spawn tracker over one more body
+    /// line, finishing its classification once the matching `)` and the
+    /// character after it have been seen.
+    fn advance_track(&mut self, code: &str, lineno: usize) {
         if let Some(track) = self.spawn_track {
             self.spawn_track = match step_track(code, track.depth, track.awaiting_tail) {
                 TrackOutcome::Open(depth) => Some(ParenTrack { depth, ..track }),
@@ -1198,27 +1151,6 @@ impl Parser<'_> {
                     {
                         site.end_line = lineno;
                         site.discarded = dropped && site.binding.is_none();
-                    }
-                    None
-                }
-            };
-        }
-        if let Some(track) = self.stmt_track {
-            self.stmt_track = match step_track(code, track.depth, track.awaiting_tail) {
-                TrackOutcome::Open(depth) => Some(ParenTrack { depth, ..track }),
-                TrackOutcome::AwaitTail => Some(ParenTrack {
-                    depth: 0,
-                    awaiting_tail: true,
-                    ..track
-                }),
-                TrackOutcome::Done(dropped) => {
-                    if let Some(site) = self
-                        .model
-                        .fns
-                        .get_mut(track.fn_idx)
-                        .and_then(|f| f.calls.get_mut(track.site_idx))
-                    {
-                        site.stmt = dropped;
                     }
                     None
                 }
@@ -1540,31 +1472,6 @@ fn let_binding(code: &str) -> Option<String> {
     } else {
         Some(name)
     }
-}
-
-/// Whether the attribute block directly above line `idx` carries
-/// `#[must_use]`. Doc comments interleave freely; a blank line or any
-/// other code ends the block (same walk as [`derives_above`]).
-fn attrs_have_must_use(lines: &[Line], idx: usize) -> bool {
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let line = &lines[i];
-        let code = line.code.trim();
-        if code.is_empty() {
-            if line.comment.trim().is_empty() {
-                break; // blank line ends the block
-            }
-            continue; // doc or plain comment
-        }
-        if !code.starts_with('#') {
-            break;
-        }
-        if code.contains("must_use") {
-            return true;
-        }
-    }
-    false
 }
 
 /// The `&mut ident` first argument of an argument list (text after the
@@ -2223,45 +2130,6 @@ mod tests {
                 ("VecDeque::default", false, true),
             ]
         );
-    }
-
-    #[test]
-    fn must_use_attributes_are_captured() {
-        let m = parse(
-            "#[must_use]\npub fn a() -> bool {\n    true\n}\n\npub fn b() -> bool {\n    a()\n}\n",
-        );
-        assert!(m.fns[0].has_must_use);
-        assert!(!m.fns[1].has_must_use);
-    }
-
-    #[test]
-    fn statement_position_calls_are_marked() {
-        let m = parse(
-            "fn f() {\n    q.push(x);\n    let ok = q.push(x);\n    if q.push(x) {\n        helper();\n    }\n    q.push(make(\n        x,\n    ));\n    q.len().min(3);\n}\n",
-        );
-        let f = &m.fns[0];
-        let stmts: Vec<(String, bool)> = f
-            .calls
-            .iter()
-            .map(|c| {
-                let name = match &c.target {
-                    CallTarget::Free(n) | CallTarget::Method(n) => n.clone(),
-                    CallTarget::Path(p) => p.join("::"),
-                };
-                (name, c.stmt)
-            })
-            .collect();
-        // First push: whole statement, value dropped.
-        assert_eq!(stmts[0], ("push".into(), true));
-        // Bound and condition-position pushes are not discards.
-        assert_eq!(stmts[1], ("push".into(), false));
-        assert_eq!(stmts[2], ("push".into(), false));
-        assert_eq!(stmts[3], ("helper".into(), true));
-        // Multi-line argument list: the `;` after the matching `)` counts.
-        assert_eq!(stmts[4], ("push".into(), true));
-        assert!(!stmts[5].1, "inner make(...) flows into push");
-        // `q.len().min(3);` — len is chained into min, not a statement.
-        assert_eq!(stmts[6], ("len".into(), false));
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! The per-crate policy table: which checks apply to which crate.
 //!
 //! This table is the registry of workspace crates. A crate directory that
-//! exists under `crates/` but has no row here is itself a finding — adding
-//! a crate forces an explicit decision about which rules it lives under.
+//! exists under `crates/` but has no row here is itself a finding, and so
+//! is a registered crate whose manifest does not opt into the workspace
+//! lint table (`[lints] workspace = true`) — adding a crate forces an
+//! explicit decision about which rules it lives under. The rules rustc and
+//! clippy enforce (unsafe code, docs, panics, sockets, swallowed results,
+//! float comparisons and casts) are configured in the root `Cargo.toml`,
+//! `clippy.toml`, and crate-level attributes, not here.
 
 /// Where a source file sits in a crate's layout. Library sources carry the
 /// full policy; test/example/bench targets are exempt from the determinism
-/// and panic checks (they are allowed to assert, collect into `HashMap`s,
-/// and measure wall-clock time) but never from the unsafe policy.
+/// check (they are allowed to collect into `HashMap`s and measure
+/// wall-clock time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// `src/**` — library (or binary) code shipped by the crate.
@@ -42,31 +47,18 @@ pub struct CratePolicy {
     /// `bench`, and this crate — self-analysis of the analyzer would
     /// dominate the findings with its own parser internals.
     pub call_graph: bool,
-    /// Whether the crate is sanctioned to open sockets (`std::net`).
-    /// True only for `eaao-serve`, whose entire purpose is the wire
-    /// protocol; everywhere else the `net-policy` check keeps network
-    /// I/O out, so the service boundary stays in exactly one crate.
-    pub net: bool,
     /// Whether the crate's types participate in the snapshot/branch
     /// contract, so the field-level checks (`fork-coverage`,
     /// `cow-aliasing`) model its structs. True for the model crates plus
     /// `campaign` (which tees worlds across trials); false for host
     /// tools whose `Clone`s never cross a `World::branch()`.
     pub fork_surface: bool,
-    /// Whether the `float-determinism` check scans the crate's library
-    /// sources. True exactly for the simulation-critical crates — the
-    /// ones whose arithmetic must replay byte-identically — so it tracks
-    /// the `determinism` column today but is its own axis: a future
-    /// host-side crate could be determinism-exempt (wall clocks fine)
-    /// while still barred from unordered float math it feeds back into
-    /// records.
-    pub float_det: bool,
     /// Whether the concurrency-lifecycle checks (`thread-lifecycle`,
-    /// `queue-bounds`, `error-policy`) scan the crate's library sources.
-    /// True for the long-running service runtime — `eaao-serve` and the
-    /// shared `eaao-campaign` executor — whose threads, queues, and
-    /// swallowed errors are exactly the PR 6 bug classes (dead
-    /// dispatcher, leaked per-connection handles, unbounded snapshots).
+    /// `queue-bounds`) scan the crate's library sources. True for the
+    /// long-running service runtime — `eaao-serve` and the shared
+    /// `eaao-campaign` executor — whose threads and queues are exactly the
+    /// bug classes of a daemon (dead dispatcher, leaked per-connection
+    /// handles, unbounded snapshots).
     /// Implies `call_graph`: the panic-barrier half of thread-lifecycle
     /// walks callees.
     pub concurrency: bool,
@@ -77,19 +69,17 @@ pub struct CratePolicy {
 /// Simulation-critical (`determinism: true`): `simcore`, `tsc`,
 /// `cloudsim`, `orchestrator`, `core`, `oracle`. Host tools
 /// (`determinism: false`): the root facade/CLI (`eaao`), the `campaign`
-/// runner (walls clocks for elapsed-time reporting, owns the JSONL sink),
+/// runner (wall clocks for elapsed-time reporting, owns the JSONL sink),
 /// `obs` (trace files are explicit ambient I/O), `bench` (timing is its
-/// job), `serve` (the only crate sanctioned to open sockets), and this
-/// crate (a filesystem scanner by definition).
+/// job), `serve` (the one crate the root `clippy.toml` socket ban
+/// exempts), and this crate (a filesystem scanner by definition).
 pub const POLICIES: &[CratePolicy] = &[
     CratePolicy {
         name: "eaao",
         dir: "",
         determinism: false,
         call_graph: false,
-        net: false,
         fork_surface: false,
-        float_det: false,
         concurrency: false,
     },
     CratePolicy {
@@ -97,9 +87,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/simcore",
         determinism: true,
         call_graph: true,
-        net: false,
         fork_surface: true,
-        float_det: true,
         concurrency: false,
     },
     CratePolicy {
@@ -107,9 +95,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/tsc",
         determinism: true,
         call_graph: true,
-        net: false,
         fork_surface: true,
-        float_det: true,
         concurrency: false,
     },
     CratePolicy {
@@ -117,9 +103,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/cloudsim",
         determinism: true,
         call_graph: true,
-        net: false,
         fork_surface: true,
-        float_det: true,
         concurrency: false,
     },
     CratePolicy {
@@ -127,9 +111,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/orchestrator",
         determinism: true,
         call_graph: true,
-        net: false,
         fork_surface: true,
-        float_det: true,
         concurrency: false,
     },
     CratePolicy {
@@ -137,9 +119,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/core",
         determinism: true,
         call_graph: true,
-        net: false,
         fork_surface: true,
-        float_det: true,
         concurrency: false,
     },
     CratePolicy {
@@ -147,9 +127,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/oracle",
         determinism: true,
         call_graph: true,
-        net: false,
         fork_surface: true,
-        float_det: true,
         concurrency: false,
     },
     CratePolicy {
@@ -157,9 +135,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/campaign",
         determinism: false,
         call_graph: true,
-        net: false,
         fork_surface: true,
-        float_det: false,
         concurrency: true,
     },
     CratePolicy {
@@ -167,9 +143,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/obs",
         determinism: false,
         call_graph: true,
-        net: false,
         fork_surface: false,
-        float_det: false,
         concurrency: false,
     },
     CratePolicy {
@@ -177,9 +151,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/bench",
         determinism: false,
         call_graph: false,
-        net: false,
         fork_surface: false,
-        float_det: false,
         concurrency: false,
     },
     CratePolicy {
@@ -187,9 +159,7 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/tidy",
         determinism: false,
         call_graph: false,
-        net: false,
         fork_surface: false,
-        float_det: false,
         concurrency: false,
     },
     CratePolicy {
@@ -197,17 +167,10 @@ pub const POLICIES: &[CratePolicy] = &[
         dir: "crates/serve",
         determinism: false,
         call_graph: true,
-        net: true,
         fork_surface: false,
-        float_det: false,
         concurrency: true,
     },
 ];
-
-/// Files (workspace-relative, forward slashes) allowed to contain
-/// `unsafe`. Currently empty: the workspace is 100% safe Rust, and any
-/// future entry must pair with a `// SAFETY:` comment at each block.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
 /// Looks up the policy row for a crate directory.
 pub fn policy_for_dir(dir: &str) -> Option<&'static CratePolicy> {
@@ -232,24 +195,17 @@ mod tests {
     }
 
     #[test]
-    fn field_level_columns_cover_the_model_crates() {
-        // float-determinism scans exactly the simulation-critical crates.
+    fn fork_surface_covers_the_model_crates() {
+        // Every simulation-critical crate is modelled by the field pass.
         for p in POLICIES {
-            assert_eq!(
-                p.float_det, p.determinism,
-                "float_det drifted from determinism for {}",
-                p.name
-            );
-            // Every float-det crate is also modelled by the field pass.
             assert!(
-                !p.float_det || p.fork_surface,
-                "{} has float_det without fork_surface",
+                !p.determinism || p.fork_surface,
+                "{} has determinism without fork_surface",
                 p.name
             );
         }
-        // campaign tees worlds across trials: fork surface, but its
-        // wall-clock timing math is not replayed.
-        assert!(policy_for_dir("crates/campaign").is_some_and(|p| p.fork_surface && !p.float_det));
+        // campaign tees worlds across trials; serve never forks one.
+        assert!(policy_for_dir("crates/campaign").is_some_and(|p| p.fork_surface));
         assert!(policy_for_dir("crates/serve").is_some_and(|p| !p.fork_surface));
     }
 
@@ -267,18 +223,6 @@ mod tests {
             assert!(
                 !p.concurrency || p.call_graph,
                 "{} has concurrency without call_graph",
-                p.name
-            );
-        }
-    }
-
-    #[test]
-    fn only_the_service_crate_may_open_sockets() {
-        for p in POLICIES {
-            assert_eq!(
-                p.net,
-                p.name == "eaao-serve",
-                "net allowance drifted for {}",
                 p.name
             );
         }

@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn suppression_trailing_and_standalone() {
         let src = "use x; // tidy:allow(determinism) -- keyed lookups only\n\
-                   // tidy:allow(panic-policy) -- invariant documented\n\
+                   // tidy:allow(lock-order) -- invariant documented\n\
                    let y = 1;\n\
                    // tidy:allow(determinism)\n\
                    let z = 2;\n\
@@ -448,7 +448,7 @@ mod tests {
     #[test]
     fn doc_comments_do_not_declare_suppressions() {
         let src = "/// tidy:allow(determinism) -- quoted in docs\n\
-                   //! tidy:allow(panic-policy) -- quoted in docs\n\
+                   //! tidy:allow(lock-order) -- quoted in docs\n\
                    /* * tidy:allow(determinism) -- x */\n\
                    let a = 1;\n";
         let f = SourceFile::parse(src);

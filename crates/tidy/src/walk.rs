@@ -4,9 +4,11 @@
 //! registered crate contributes its `src/`, `tests/`, `examples/`, and
 //! `benches/` trees (with [`FileKind`] deciding which checks apply), and
 //! every manifest — root, per-crate, and the vendor stand-ins — goes
-//! through the hermeticity check. `vendor/` sources are third-party
-//! stand-ins and are not style-checked; `tests/fixtures/` subtrees are the
-//! analyzer's own known-bad corpus and are skipped by contract.
+//! through the hermeticity check. Registered crates' manifests must also
+//! opt into the workspace lint table (the `registration` check).
+//! `vendor/` sources are third-party stand-ins and are not style-checked;
+//! `tests/fixtures/` subtrees are the analyzer's own known-bad corpus and
+//! are skipped by contract.
 //!
 //! The scan runs in phases over files that are each read and lexed
 //! **once**:
@@ -17,7 +19,7 @@
 //!    determinism-taint, lock-order) run — consulting and consuming
 //!    inline suppressions through a [`SuppressionOracle`] — alongside
 //!    the field-level checks and the concurrency-lifecycle checks
-//!    (thread-lifecycle, queue-bounds, error-policy, wire-schema),
+//!    (thread-lifecycle, queue-bounds, wire-schema),
 //! 3. suppressions are applied and accounted centrally, and
 //! 4. surviving *semantic* findings pass through the baseline ratchet
 //!    (`tidy-baseline.json`).
@@ -29,6 +31,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::baseline::{self, Baseline, BASELINE_FILE};
+use crate::checks::hermeticity::strip_toml_comment;
 use crate::checks::{self, SuppressionOracle};
 use crate::diag::{CheckId, Diagnostic};
 use crate::fields::{self, FieldModel};
@@ -128,9 +131,9 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
     lap("model+graph", &mut timings);
 
     // Phase 2b: the field-level model and checks (fork-coverage,
-    // cow-aliasing, float-determinism) plus the concurrency-lifecycle
-    // checks (thread-lifecycle, queue-bounds, error-policy, wire-schema)
-    // over the same parsed models. Raw pairs are collected while `files`
+    // cow-aliasing) plus the concurrency-lifecycle checks
+    // (thread-lifecycle, queue-bounds, wire-schema) over the same parsed
+    // models. Raw pairs are collected while `files`
     // is still borrowed immutably; the suppression oracle (which needs
     // `&mut files`) filters them below.
     let mut field_raw: Vec<(usize, Diagnostic)> = Vec::new();
@@ -148,14 +151,8 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
         let fm = FieldModel::build(&field_inputs);
         checks::fork_cov::check(&fm, &mut field_raw);
         checks::cow::check(&fm, &field_inputs, &mut field_raw);
-        for input in &field_inputs {
-            if input.policy.float_det {
-                checks::float_det::check(input, &mut field_raw);
-            }
-        }
         checks::threads::check(&ws, &mut field_raw);
         checks::queues::check(&ws, &mut field_raw);
-        checks::error_policy::check(&ws, &field_inputs, &mut field_raw);
         let service_doc = fs::read_to_string(root.join("docs/SERVICE.md")).ok();
         checks::wire::check(&field_inputs, service_doc.as_deref(), &mut field_raw);
     }
@@ -280,7 +277,7 @@ fn collect_crate(
                 Err(err) => findings.push(Diagnostic::new(
                     &rel,
                     1,
-                    CheckId::CrateHeader,
+                    CheckId::Registration,
                     format!("cannot read source file: {err}"),
                 )),
             }
@@ -307,15 +304,18 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Runs every manifest through the hermeticity check. A registered
+/// crate's manifest must also inherit the workspace lint table, so a new
+/// crate cannot slip out of the rustc/clippy policy.
 fn check_manifests(root: &Path, diags: &mut Vec<Diagnostic>) {
     // A policy row whose crate directory is absent contributes nothing:
     // fixture mini-workspaces legitimately materialize only a couple of
     // the registered crates. (A *present* crate with an unreadable
     // manifest is still a finding.)
-    let mut manifests: Vec<PathBuf> = POLICIES
+    let mut manifests: Vec<(PathBuf, Option<&CratePolicy>)> = POLICIES
         .iter()
         .filter(|p| p.dir.is_empty() || root.join(p.dir).is_dir())
-        .map(|p| root.join(p.dir).join("Cargo.toml"))
+        .map(|p| (root.join(p.dir).join("Cargo.toml"), Some(p)))
         .collect();
     if let Ok(entries) = fs::read_dir(root.join("vendor")) {
         let mut vendor: Vec<PathBuf> = entries
@@ -324,20 +324,55 @@ fn check_manifests(root: &Path, diags: &mut Vec<Diagnostic>) {
             .filter(|p| p.is_file())
             .collect();
         vendor.sort();
-        manifests.extend(vendor);
+        manifests.extend(vendor.into_iter().map(|path| (path, None)));
     }
-    for path in manifests {
+    for (path, policy) in manifests {
         let rel = rel_path(root, &path);
-        match fs::read_to_string(&path) {
-            Ok(text) => checks::hermeticity::check(&rel, &text, diags),
-            Err(err) => diags.push(Diagnostic::new(
+        let text = match fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(err) => {
+                diags.push(Diagnostic::new(
+                    &rel,
+                    1,
+                    CheckId::Hermeticity,
+                    format!("cannot read manifest: {err}"),
+                ));
+                continue;
+            }
+        };
+        checks::hermeticity::check(&rel, &text, diags);
+        let Some(policy) = policy else { continue };
+        if !inherits_workspace_lints(&text) {
+            diags.push(Diagnostic::new(
                 &rel,
                 1,
-                CheckId::Hermeticity,
-                format!("cannot read manifest: {err}"),
-            )),
+                CheckId::Registration,
+                format!(
+                    "`{}` does not set `[lints] workspace = true`; every \
+                     workspace crate inherits the lint policy declared in \
+                     the root Cargo.toml",
+                    policy.name
+                ),
+            ));
         }
     }
+}
+
+/// Whether a manifest's `[lints]` table sets `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for raw in manifest.lines() {
+        let line = strip_toml_comment(raw).trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints {
+            let mut kv = line.splitn(2, '=').map(str::trim);
+            if kv.next() == Some("workspace") && kv.next() == Some("true") {
+                return true;
+            }
+        }
+    }
+    false
 }
 
 /// Every directory under `crates/` must have a row in the policy table —
@@ -357,7 +392,7 @@ fn check_registration(root: &Path, diags: &mut Vec<Diagnostic>) {
             diags.push(Diagnostic::new(
                 &format!("crates/{name}/Cargo.toml"),
                 1,
-                CheckId::CrateHeader,
+                CheckId::Registration,
                 format!(
                     "crate `{name}` is not registered in eaao-tidy's policy \
                      table (crates/tidy/src/policy.rs); every workspace crate \

@@ -79,10 +79,10 @@ fn spawn_fates_are_pinned_and_lexically_invisible() {
 }
 
 #[test]
-fn queue_bounds_and_error_policy_are_pinned_and_lexically_invisible() {
+fn queue_bounds_are_pinned_and_lexically_invisible() {
     let root = fixture_root("queue_unbounded");
     let findings = scan_workspace(&root).findings;
-    assert_eq!(findings.len(), 5, "{findings:?}");
+    assert_eq!(findings.len(), 2, "{findings:?}");
 
     let deque = &findings[0];
     assert_eq!(deque.file, "crates/serve/src/lib.rs");
@@ -106,44 +106,11 @@ fn queue_bounds_and_error_policy_are_pinned_and_lexically_invisible() {
         channel.message
     );
 
-    // The three swallowed-error shapes, in source order.
-    let let_underscore = &findings[2];
-    assert_eq!(let_underscore.line, 37);
-    assert_eq!(let_underscore.check.name(), "error-policy");
-    assert_eq!(let_underscore.symbol, "swallows");
-    assert!(
-        let_underscore.message.contains("`let _ =`"),
-        "{}",
-        let_underscore.message
-    );
-
-    let ok_discard = &findings[3];
-    assert_eq!(ok_discard.line, 38);
-    assert_eq!(ok_discard.check.name(), "error-policy");
-    assert_eq!(ok_discard.symbol, "swallows");
-    assert!(
-        ok_discard.message.contains("`.ok()` in statement position"),
-        "{}",
-        ok_discard.message
-    );
-
-    let must_use = &findings[4];
-    assert_eq!(must_use.line, 39);
-    assert_eq!(must_use.check.name(), "error-policy");
-    assert_eq!(must_use.symbol, "eaao_serve::swallows@admit");
-    assert!(
-        must_use
-            .message
-            .contains("#[must_use] result of `eaao_serve::admit`"),
-        "{}",
-        must_use.message
-    );
-
     // Negative halves: `sync_channel`, `with_capacity`, and the
     // `// bound:`-commented deque raise nothing.
 
-    // Companion proof: every construction and discard is ordinary Rust
-    // to the per-line checks — only the queue/statement models see them.
+    // Companion proof: every construction is ordinary Rust to the
+    // per-line checks — only the queue model sees them.
     let lexical = lexical_only(&root, "crates/serve", "crates/serve/src/lib.rs");
     assert!(lexical.is_empty(), "{lexical:?}");
 }

@@ -1,6 +1,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 //! Fixture: an unbounded deque and channel beside bounded and
-//! bound-commented negatives, plus the three swallowed-error shapes.
+//! bound-commented negatives.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -26,15 +26,4 @@ fn commented_deque() -> VecDeque<u64> {
 
 fn sized_deque() -> VecDeque<u64> {
     VecDeque::with_capacity(8)
-}
-
-#[must_use]
-fn admit(n: u64) -> bool {
-    n > 0
-}
-
-fn swallows() {
-    let _ = std::fs::remove_file("scratch.bin");
-    std::fs::remove_file("scratch.bin").ok();
-    admit(3);
 }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::collections::HashSet; // tidy:allow(determinism) -- fixture: trailing form
 
-pub fn documented() -> u32 {
-    // tidy:allow(panic-policy) -- fixture: documented invariant
-    panic!("invariant")
+pub fn logged() -> u64 {
+    // tidy:allow(determinism) -- fixture: wall time for a log line only
+    std::time::Instant::now().elapsed().as_secs()
 }

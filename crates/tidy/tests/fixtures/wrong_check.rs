@@ -1,4 +1,4 @@
 //! Fixture: a suppression for the wrong check silences nothing.
 
-// tidy:allow(panic-policy) -- fixture: wrong check on purpose
+// tidy:allow(lock-order) -- fixture: wrong check on purpose
 use std::collections::HashMap;

@@ -70,95 +70,6 @@ fn determinism_fixture_is_exempt_for_host_crates_and_tests() {
 }
 
 #[test]
-fn unsafe_fixture_fires_everywhere_even_in_tests() {
-    let text = include_str!("fixtures/unsafe.rs");
-    for kind in [FileKind::LibSrc, FileKind::Tests, FileKind::Benches] {
-        let d = run(sim_policy(), kind, "crates/core/tests/u.rs", text);
-        assert_eq!(lines_of(&d, CheckId::UnsafePolicy), vec![4], "{kind:?}");
-    }
-}
-
-#[test]
-fn header_fixture_reports_missing_lints_and_bare_allow() {
-    let text = include_str!("fixtures/header.rs");
-    let d = run(
-        sim_policy(),
-        FileKind::LibSrc,
-        "crates/core/src/lib.rs",
-        text,
-    );
-    // Two missing lints plus the unjustified `#![allow(dead_code)]`.
-    assert_eq!(lines_of(&d, CheckId::CrateHeader), vec![1, 1, 1], "{d:?}");
-    // The same file under a non-`lib.rs` path loses the header findings
-    // but keeps the allow-justification one.
-    let d = run(sim_policy(), FileKind::LibSrc, "crates/core/src/m.rs", text);
-    assert_eq!(lines_of(&d, CheckId::CrateHeader), vec![1], "{d:?}");
-}
-
-#[test]
-fn panic_fixture_fires_at_exact_lines() {
-    let text = include_str!("fixtures/panic.rs");
-    let d = run(sim_policy(), FileKind::LibSrc, "crates/core/src/p.rs", text);
-    assert_eq!(lines_of(&d, CheckId::PanicPolicy), vec![4, 6, 8], "{d:?}");
-    // Panic policy applies to library code of host crates too.
-    let host = run(
-        host_policy(),
-        FileKind::LibSrc,
-        "crates/campaign/src/p.rs",
-        text,
-    );
-    assert_eq!(lines_of(&host, CheckId::PanicPolicy), vec![4, 6, 8]);
-    // But not to test code.
-    let tests = run(
-        sim_policy(),
-        FileKind::Tests,
-        "crates/core/tests/p.rs",
-        text,
-    );
-    assert!(tests.is_empty(), "{tests:?}");
-}
-
-#[test]
-fn net_fixture_fires_at_exact_lines_for_unsanctioned_crates() {
-    let text = include_str!("fixtures/net.rs");
-    let d = run(
-        host_policy(),
-        FileKind::LibSrc,
-        "crates/campaign/src/bad.rs",
-        text,
-    );
-    // Line 5 carries both the `std::net` path and the `TcpListener` type.
-    assert_eq!(lines_of(&d, CheckId::NetPolicy), vec![5, 5, 9, 10], "{d:?}");
-    assert_eq!(d.len(), 4, "only net-policy findings expected: {d:?}");
-}
-
-#[test]
-fn net_fixture_is_exempt_for_the_service_crate_and_tests() {
-    let text = include_str!("fixtures/net.rs");
-    let serve = policy_for_dir("crates/serve").expect("serve is registered");
-    assert!(serve.net, "serve's socket allowance is pinned here");
-    let d = run(serve, FileKind::LibSrc, "crates/serve/src/ok.rs", text);
-    assert!(d.is_empty(), "{d:?}");
-    let tests = run(
-        host_policy(),
-        FileKind::Tests,
-        "crates/campaign/tests/t.rs",
-        text,
-    );
-    assert!(tests.is_empty(), "{tests:?}");
-    // Simulation-critical crates report the same line under the
-    // determinism check instead — never twice.
-    let sim = run(
-        sim_policy(),
-        FileKind::LibSrc,
-        "crates/core/src/bad.rs",
-        text,
-    );
-    assert_eq!(lines_of(&sim, CheckId::Determinism), vec![5], "{sim:?}");
-    assert!(lines_of(&sim, CheckId::NetPolicy).is_empty(), "{sim:?}");
-}
-
-#[test]
 fn hermeticity_fixture_flags_registry_and_git_deps() {
     let text = include_str!("fixtures/bad_manifest.toml");
     let mut d = Vec::new();
@@ -201,11 +112,11 @@ fn unused_suppression_is_a_finding() {
 
 #[test]
 fn diagnostics_render_as_file_line_check_message() {
-    let text = include_str!("fixtures/unsafe.rs");
-    let d = run(sim_policy(), FileKind::LibSrc, "crates/core/src/u.rs", text);
+    let text = include_str!("fixtures/determinism.rs");
+    let d = run(sim_policy(), FileKind::LibSrc, "crates/core/src/d.rs", text);
     let rendered = d[0].to_string();
     assert!(
-        rendered.starts_with("crates/core/src/u.rs:4: [unsafe-policy]"),
+        rendered.starts_with("crates/core/src/d.rs:3: [determinism]"),
         "{rendered}"
     );
 }

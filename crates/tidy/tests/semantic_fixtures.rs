@@ -2,6 +2,8 @@
 //! `tests/fixtures/semantic/` that each pin one call-graph finding to an
 //! exact file, line, and symbol — plus a companion proof that the lexical
 //! pass alone misses it, which is the whole reason the graph layer exists.
+//! The meta checks that need a whole workspace (a stale baseline, a crate
+//! outside the lint policy) are pinned here too.
 
 use std::path::{Path, PathBuf};
 
@@ -166,33 +168,6 @@ fn arc_write_bypassing_make_mut_is_pinned_and_lexically_invisible() {
 }
 
 #[test]
-fn unordered_float_fold_and_eq_are_pinned_and_lexically_invisible() {
-    let root = fixture_root("float_fold");
-    let findings = scan_workspace(&root).findings;
-    assert_eq!(findings.len(), 2, "{findings:?}");
-
-    let fold = &findings[0];
-    assert_eq!(fold.file, "crates/core/src/lib.rs");
-    assert_eq!(fold.line, 7, "anchored at the fold");
-    assert_eq!(fold.check.name(), "float-determinism");
-    assert_eq!(fold.symbol, "mean#reduction");
-
-    let eq = &findings[1];
-    assert_eq!(eq.file, "crates/core/src/lib.rs");
-    assert_eq!(eq.line, 13, "anchored at the comparison");
-    assert_eq!(eq.check.name(), "float-determinism");
-    assert_eq!(eq.symbol, "is_flat#eq");
-
-    // Negative half: `total_ticks` reduces in the u64 tick lane and
-    // raises nothing.
-
-    // Companion proof: `fold` and `==` are ordinary tokens to the lexical
-    // pass; only the float-determinism pass reads the operand types.
-    let lexical = lexical_only(&root, "crates/core", "crates/core/src/lib.rs");
-    assert!(lexical.is_empty(), "{lexical:?}");
-}
-
-#[test]
 fn stale_baseline_entries_are_findings_at_their_json_line() {
     let root = fixture_root("stale_baseline");
     let findings = scan_workspace(&root).findings;
@@ -203,6 +178,23 @@ fn stale_baseline_entries_are_findings_at_their_json_line() {
     assert_eq!(d.check.name(), "baseline");
     assert!(d.message.contains("stale entry"), "{}", d.message);
     assert!(d.message.contains("eaao_core::gone"), "{}", d.message);
+}
+
+#[test]
+fn a_crate_outside_the_lint_policy_is_a_registration_finding() {
+    let root = fixture_root("unlinted");
+    let findings = scan_workspace(&root).findings;
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let d = &findings[0];
+    assert_eq!(d.file, "crates/core/Cargo.toml");
+    assert_eq!(d.line, 1);
+    assert_eq!(d.check.name(), "registration");
+    assert!(
+        d.message
+            .contains("`eaao-core` does not set `[lints] workspace = true`"),
+        "{}",
+        d.message
+    );
 }
 
 #[test]

@@ -114,25 +114,24 @@ fn the_field_level_sanctioned_sites_are_live() {
         engine.contains("impl Clone for IncrementalCapacity"),
         "IncrementalCapacity must spell out its share-vs-detach decision in a manual Clone"
     );
+}
 
-    // Float findings ride the baseline ratchet rather than inline allows:
-    // at least one justified float-determinism entry must be live (the
-    // clean gate rejects stale or unjustified ones).
-    let baseline = load_baseline(&root).expect("baseline parses");
-    assert!(
-        baseline
-            .entries
-            .iter()
-            .any(|e| e.check == "float-determinism" && !e.justification.trim().is_empty()),
-        "the float-determinism debt is carried as justified baseline entries"
-    );
+/// Counts the `#[expect(<lint>, reason = …)]` attributes in `text`,
+/// however rustfmt wrapped them.
+fn expects(text: &str, lint: &str) -> usize {
+    text.split("#[expect(")
+        .skip(1)
+        .filter(|rest| rest.trim_start().starts_with(lint))
+        .count()
 }
 
 /// The concurrency-lifecycle pass ran and its sanctioned sites are held
 /// by *used* suppressions and live `// bound:` annotations — the same
 /// two-halves proof as the field-level test above: the comment must be
 /// present in the source, and the clean gate proves the check actually
-/// fired (or was satisfied) at that exact site.
+/// fired (or was satisfied) at that exact site. The deliberate discards
+/// are held by `#[expect(clippy::let_underscore_must_use)]`, whose other
+/// half is clippy's `unfulfilled_lint_expectations` under `-D warnings`.
 #[test]
 fn the_concurrency_sanctioned_sites_are_live() {
     let root = workspace_root();
@@ -145,8 +144,8 @@ fn the_concurrency_sanctioned_sites_are_live() {
     // suppressions at all.
     let pool = read("crates/campaign/src/pool.rs");
     assert!(
-        pool.matches("tidy:allow(error-policy)").count() >= 3,
-        "the pool's deliberate best-effort discards carry justified error-policy allows"
+        expects(&pool, "clippy::let_underscore_must_use") >= 3,
+        "the pool's deliberate best-effort discards carry justified expectations"
     );
     assert!(
         pool.contains("// bound:"),
@@ -167,8 +166,8 @@ fn the_concurrency_sanctioned_sites_are_live() {
         "the server's outbound and pending deques both name their bounds"
     );
     assert!(
-        server.matches("tidy:allow(error-policy)").count() >= 4,
-        "the server's best-effort socket tuning and wakeup nudges carry justified allows"
+        expects(&server, "clippy::let_underscore_must_use") >= 4,
+        "the server's best-effort socket tuning and wakeup nudges carry justified expectations"
     );
     assert!(
         server.contains("fn send_final"),

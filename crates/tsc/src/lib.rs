@@ -36,8 +36,7 @@
 //! assert_eq!(boot, SimTime::from_secs(500)); // correct at this time scale
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::cast_possible_truncation))]
 
 pub mod boot;
 pub mod clocksource;

@@ -46,6 +46,10 @@ impl RefinedTscFrequency {
     /// # Panics
     ///
     /// Panics if the perturbed frequency would be non-positive.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the documented frequency quantization boundary: round() against REFINEMENT_PRECISION_HZ fixes the rule entering the u64 lane"
+    )]
     pub fn refine(actual: TscFrequency, measurement_error_hz: f64) -> Self {
         let measured_hz = actual.as_hz() + measurement_error_hz;
         assert!(measured_hz > 0.0, "refined frequency must be positive");

@@ -49,9 +49,6 @@
 //! assert_eq!(fingerprints.len(), 20);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub use eaao_campaign as campaign;
 pub use eaao_cloudsim as cloudsim;
 pub use eaao_core as core;

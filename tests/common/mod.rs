@@ -7,8 +7,11 @@
 //! and small generators that are shared across suites but too
 //! root-specific for the oracle crate.
 
-// Each suite compiles this module independently and uses its own slice.
-#![allow(dead_code, unused_imports)]
+#![allow(
+    dead_code,
+    unused_imports,
+    reason = "each suite compiles this module independently and uses its own slice"
+)]
 
 use std::collections::BTreeMap;
 

@@ -39,6 +39,10 @@ fn traced_campaign(name: &str) -> (Vec<Event>, PathBuf) {
         .lines()
         .enumerate()
         .map(|(i, line)| {
+            #[expect(
+                clippy::panic,
+                reason = "a malformed trace line fails the test, naming its line number"
+            )]
             serde_json::from_str::<Event>(line)
                 .unwrap_or_else(|e| panic!("trace line {} does not parse: {e}", i + 1))
         })
