@@ -13,8 +13,8 @@ use std::fmt;
 use eaao_cloudsim::mitigation::TscMitigation;
 use eaao_cloudsim::service::Generation;
 use eaao_core::experiment::{
-    calib, fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12, opt52, other_factors,
-    sec42, sec43, sec45, sec52, sec6,
+    ablations, calib, fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12, opt52,
+    other_factors, sec42, sec43, sec45, sec52, sec6,
 };
 use eaao_core::strategy::{NaiveLaunch, OptimizedLaunch};
 use eaao_core::verify::VerifierChannel;
@@ -40,8 +40,8 @@ pub(crate) struct Axes {
 
 impl Axes {
     /// Region and seed only. The paper drivers pin Cloud Run — they
-    /// reproduce measurements *of* Cloud Run — and `sec6` sweeps the
-    /// mitigations internally.
+    /// reproduce measurements *of* Cloud Run — and `sec6` and `ablations`
+    /// sweep their parameters internally.
     const NONE: Axes = Axes {
         generation: false,
         mitigation: false,
@@ -194,8 +194,9 @@ const fn native(
 }
 
 /// Every experiment, in canonical order: the paper suite in paper order,
-/// then the campaign-native attack trials and calibration sweep.
-pub static EXPERIMENTS: [Experiment; 21] = [
+/// then the campaign-native attack trials, calibration sweep and design
+/// ablations.
+pub static EXPERIMENTS: [Experiment; 22] = [
     paper(
         "fig4",
         "Figure 4: Gen 1 fingerprint accuracy vs p_boot",
@@ -323,6 +324,12 @@ pub static EXPERIMENTS: [Experiment; 21] = [
         render_calibration,
     )
     .axes(Axes::PLATFORM_VERIFIER),
+    native(
+        "ablations",
+        "Design ablations: demand window, popularity, CTest m, frequency source",
+        ablations,
+        render_ablations,
+    ),
 ];
 
 /// Serializes a driver result into the record payload.
@@ -844,6 +851,72 @@ fn render_calibration(payload: &Value) -> Rendered {
         result.trials,
         result.rounds,
         result.chosen_min_positive_rounds
+    ))
+}
+
+fn ablations(job: &Job<'_>) -> Outcome {
+    let mut config = job.pick(
+        ablations::AblationsConfig::quick,
+        ablations::AblationsConfig::default,
+    );
+    config.region = job.region();
+    (None, val(&config.run(job.seed)))
+}
+
+fn render_ablations(payload: &Value) -> Rendered {
+    let result: ablations::AblationsResult = read(payload)?;
+    let mut window = TextTable::new(&["demand window", "distinct hosts"]);
+    for row in &result.demand_window {
+        window.row(vec![format!("{} min", row.minutes), row.hosts.to_string()]);
+    }
+    let mut popularity = TextTable::new(&[
+        "popularity exponent",
+        "attacker host coverage",
+        "victim coverage",
+    ]);
+    for row in &result.popularity {
+        popularity.row(vec![
+            format!("{:.2}", row.exponent),
+            percent(row.host_coverage),
+            percent(row.victim_coverage),
+        ]);
+    }
+    let mut threshold = TextTable::new(&[
+        "CTest m",
+        "CTests",
+        "fallback tests",
+        "wall",
+        "cost",
+        "clusters",
+        "true hosts",
+    ]);
+    for row in &result.ctest_m {
+        threshold.row(vec![
+            row.m.to_string(),
+            row.ctests.to_string(),
+            row.pairwise_fallback_tests.to_string(),
+            format!("{:.1} s", row.wall_s),
+            format!("${:.2}", row.cost_usd),
+            row.clusters.to_string(),
+            row.true_hosts.to_string(),
+        ]);
+    }
+    let mut frequency = TextTable::new(&["Gen 1 FMI, reported frequency", "measured frequency"]);
+    for row in &result.frequency_source {
+        frequency.row(vec![
+            format!("{:.4}", row.reported_fmi),
+            format!("{:.4}", row.measured_fmi),
+        ]);
+    }
+    Ok(format!(
+        "  # demand window: 4 launches 10 min apart (Observation 5: ~30 min)\n{}\
+         \n  # host popularity, optimized attack (DESIGN.md §6: the presets use 1.25)\n{}\
+         \n  # CTest threshold m, hierarchical verification (§4.3: the paper uses m = 2)\n{}\
+         \n  # Gen 1 frequency source (§4.2: the paper uses the reported one)\n{}",
+        window.render(),
+        popularity.render(),
+        threshold.render(),
+        frequency.render()
     ))
 }
 

@@ -58,7 +58,7 @@ impl Default for CalibConfig {
 }
 
 impl CalibConfig {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         CalibConfig {
             instances: 60,

@@ -14,8 +14,8 @@ use eaao_simcore::stats::Summary;
 use eaao_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::experiment::PROBE_GAP;
-use crate::fingerprint::{group_by_fingerprint, Gen1Fingerprinter};
+use crate::experiment::{gen1_groups, PROBE_GAP};
+use crate::fingerprint::Gen1Fingerprinter;
 use crate::metrics::PairConfusion;
 use crate::probe::probe_fleet;
 use crate::verify::hierarchical::HierarchicalVerifier;
@@ -27,7 +27,7 @@ pub enum GroundTruth {
     /// Section 4.3 (costs simulated time and money).
     #[default]
     CovertChannel,
-    /// The simulator's oracle (free; for fast benches).
+    /// The simulator's oracle (free; the quick configuration uses it).
     Oracle,
 }
 
@@ -64,7 +64,7 @@ impl Default for Fig04Config {
 }
 
 impl Fig04Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig04Config {
             regions: vec!["us-east1".to_owned()],
@@ -156,19 +156,8 @@ impl Fig04Config {
             GroundTruth::CovertChannel => {
                 // Group by the default fingerprint, verify with the scalable
                 // methodology, and use the verified clusters as truth.
-                let default_fp = Gen1Fingerprinter::default();
-                let (groups, _) = group_by_fingerprint(&readings, |r| default_fp.fingerprint(r));
-                let groups: Vec<_> = groups
-                    .into_iter()
-                    .map(|(_, members)| {
-                        members
-                            .iter()
-                            .map(|&i| readings[i].instance)
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
                 let outcome = HierarchicalVerifier::new()
-                    .verify(&mut world, &groups)
+                    .verify(&mut world, &gen1_groups(&readings))
                     .expect("instances stay alive during verification");
                 let ids: Vec<_> = readings.iter().map(|r| r.instance).collect();
                 outcome

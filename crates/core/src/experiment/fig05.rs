@@ -56,7 +56,7 @@ impl Default for Fig05Config {
 }
 
 impl Fig05Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig05Config {
             region: "us-west1".to_owned(),

@@ -38,7 +38,7 @@ impl Default for Fig06Config {
 }
 
 impl Fig06Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig06Config {
             region: "us-west1".to_owned(),

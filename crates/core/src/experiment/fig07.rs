@@ -46,7 +46,7 @@ impl Default for Fig07Config {
 }
 
 impl Fig07Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig07Config {
             region: "us-west1".to_owned(),

@@ -47,7 +47,7 @@ impl Default for Fig08Config {
 }
 
 impl Fig08Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig08Config {
             instances: 200,

@@ -45,7 +45,7 @@ impl Default for Fig09Config {
 }
 
 impl Fig09Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig09Config {
             region: "us-west1".to_owned(),

@@ -50,7 +50,7 @@ impl Default for Fig10Config {
 }
 
 impl Fig10Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig10Config {
             region: "us-west1".to_owned(),

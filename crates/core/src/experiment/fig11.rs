@@ -81,7 +81,7 @@ impl Default for Fig11Config {
 }
 
 impl Fig11Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig11Config {
             regions: vec!["us-west1".to_owned()],

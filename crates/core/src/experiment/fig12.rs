@@ -34,7 +34,7 @@ impl Default for Fig12Config {
 }
 
 impl Fig12Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Fig12Config {
             regions: vec!["us-west1".to_owned()],

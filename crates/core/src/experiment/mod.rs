@@ -1,10 +1,10 @@
 //! Experiment drivers: one module per table/figure of the paper.
 //!
 //! Every driver is a config struct with paper-scale defaults, a `quick()`
-//! constructor for fast test/bench runs, and a `run(seed)` method returning
-//! a serializable result — the same rows/series the paper reports. The
-//! campaign registry's rows (run by `eaao repro` and `eaao campaign`),
-//! tests and Criterion benches all share these.
+//! constructor for fast test runs, and a `run(seed)` method returning a
+//! serializable result — the same rows/series the paper reports. The
+//! campaign registry's rows (run by `eaao repro` and `eaao campaign`) and
+//! the tests share these.
 //!
 //! | Module | Reproduces |
 //! |---|---|
@@ -25,7 +25,9 @@
 //! | [`opt52`] | §5.2 — attack optimizations: multi-account, repeated attacks |
 //! | [`other_factors`] | §5.1 "Other factors" — time-of-day, sizes, generations |
 //! | [`calib`] | related work — `/lock`–`/check` threshold calibration (ROC sweep) |
+//! | [`ablations`] | DESIGN.md §7 — demand window, popularity, CTest `m`, frequency source |
 
+pub mod ablations;
 pub mod calib;
 pub mod fig04;
 pub mod fig05;
@@ -50,8 +52,9 @@ use eaao_cloudsim::ids::InstanceId;
 use eaao_orchestrator::world::World;
 use eaao_simcore::time::SimDuration;
 
-use crate::fingerprint::{Gen1Fingerprint, Gen1Fingerprinter};
-use crate::probe::probe_fleet;
+use crate::fingerprint::{group_by_fingerprint, Gen1Fingerprint, Gen1Fingerprinter};
+use crate::metrics::PairConfusion;
+use crate::probe::{probe_fleet, ProbeReading};
 
 /// Gap between successive instance probes in a measurement sweep.
 pub(crate) const PROBE_GAP: SimDuration = SimDuration::from_millis(10);
@@ -68,5 +71,40 @@ pub(crate) fn apparent_hosts(
     probe_fleet(world, instances, PROBE_GAP)
         .iter()
         .filter_map(|r| fingerprinter.fingerprint(r))
+        .collect()
+}
+
+/// Groups probed instances by their default Gen 1 fingerprint: the input
+/// of hierarchical verification (Section 4.3). Unparseable readings drop
+/// out.
+pub(crate) fn gen1_groups(readings: &[ProbeReading]) -> Vec<Vec<InstanceId>> {
+    let fingerprinter = Gen1Fingerprinter::default();
+    let (groups, _) = group_by_fingerprint(readings, |r| fingerprinter.fingerprint(r));
+    groups
+        .into_iter()
+        .map(|(_, members)| members.iter().map(|&i| readings[i].instance).collect())
+        .collect()
+}
+
+/// FMI of the default Gen 1 fingerprint against the ground-truth hosts; a
+/// reading without a fingerprint is a cluster of its own.
+pub(crate) fn gen1_fmi(world: &World, readings: &[ProbeReading]) -> f64 {
+    let fingerprinter = Gen1Fingerprinter::default();
+    let predicted: Vec<String> = readings
+        .iter()
+        .enumerate()
+        .map(|(i, r)| match fingerprinter.fingerprint(r) {
+            Some(f) => f.to_string(),
+            None => format!("none-{i}"),
+        })
+        .collect();
+    PairConfusion::from_assignments(&predicted, &host_labels(world, readings)).fmi()
+}
+
+/// The ground-truth host of each reading's instance.
+pub(crate) fn host_labels(world: &World, readings: &[ProbeReading]) -> Vec<u32> {
+    readings
+        .iter()
+        .map(|r| world.host_of(r.instance).as_raw())
         .collect()
 }

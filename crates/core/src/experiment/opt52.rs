@@ -42,7 +42,7 @@ impl Default for Opt52Config {
 }
 
 impl Opt52Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Opt52Config {
             region: "us-west1".to_owned(),

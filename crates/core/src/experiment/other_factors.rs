@@ -37,7 +37,7 @@ impl Default for OtherFactorsConfig {
 }
 
 impl OtherFactorsConfig {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         OtherFactorsConfig {
             region: "us-west1".to_owned(),

@@ -78,7 +78,7 @@ impl Default for Sec42Config {
 }
 
 impl Sec42Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Sec42Config {
             accounts: 4,

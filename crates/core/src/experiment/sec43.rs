@@ -11,8 +11,7 @@ use eaao_orchestrator::world::World;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::fig04::region_config;
-use crate::experiment::PROBE_GAP;
-use crate::fingerprint::{group_by_fingerprint, Gen1Fingerprinter};
+use crate::experiment::{gen1_groups, PROBE_GAP};
 use crate::probe::probe_fleet;
 use crate::verify::hierarchical::HierarchicalVerifier;
 use crate::verify::pairwise::{pair_count, pairwise_verify, PairwiseChannel};
@@ -56,7 +55,7 @@ impl Default for Sec43Config {
 }
 
 impl Sec43Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Sec43Config {
             region: "us-west1".to_owned(),
@@ -80,14 +79,8 @@ impl Sec43Config {
             let launch = world.launch(service, self.instances).expect("within caps");
             let instances = launch.instances().to_vec();
             let readings = probe_fleet(&mut world, &instances, PROBE_GAP);
-            let fingerprinter = Gen1Fingerprinter::default();
-            let (groups, _) = group_by_fingerprint(&readings, |r| fingerprinter.fingerprint(r));
-            let groups: Vec<Vec<_>> = groups
-                .into_iter()
-                .map(|(_, members)| members.iter().map(|&i| readings[i].instance).collect())
-                .collect();
             let outcome = HierarchicalVerifier::new()
-                .verify(&mut world, &groups)
+                .verify(&mut world, &gen1_groups(&readings))
                 .expect("instances alive");
             MethodRow {
                 method: "hierarchical (this paper)".to_owned(),

@@ -15,7 +15,7 @@ use eaao_simcore::stats::Summary;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::fig04::region_config;
-use crate::experiment::PROBE_GAP;
+use crate::experiment::{host_labels, PROBE_GAP};
 use crate::fingerprint::Gen2Fingerprint;
 use crate::metrics::PairConfusion;
 use crate::probe::probe_fleet;
@@ -46,7 +46,7 @@ impl Default for Sec45Config {
 }
 
 impl Sec45Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Sec45Config {
             regions: vec!["us-east1".to_owned()],
@@ -92,10 +92,7 @@ impl Sec45Config {
                             .as_khz()
                     })
                     .collect();
-                let truth: Vec<u32> = readings
-                    .iter()
-                    .map(|r| world.host_of(r.instance).as_raw())
-                    .collect();
+                let truth = host_labels(&world, &readings);
                 let confusion = PairConfusion::from_assignments(&predicted, &truth);
                 fmis.push(confusion.fmi());
                 precisions.push(confusion.precision());

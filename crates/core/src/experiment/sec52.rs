@@ -56,7 +56,7 @@ impl Default for Sec52Config {
 }
 
 impl Sec52Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Sec52Config {
             regions: vec!["us-east1".to_owned(), "us-west1".to_owned()],

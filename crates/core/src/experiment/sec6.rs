@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::coverage::measure_coverage;
 use crate::experiment::fig04::region_config;
-use crate::experiment::PROBE_GAP;
-use crate::fingerprint::{Gen1Fingerprinter, Gen2Fingerprint};
+use crate::experiment::{gen1_fmi, host_labels, PROBE_GAP};
+use crate::fingerprint::Gen2Fingerprint;
 use crate::metrics::PairConfusion;
 use crate::probe::probe_fleet;
 use crate::strategy::OptimizedLaunch;
@@ -68,7 +68,7 @@ impl Default for Sec6Config {
 }
 
 impl Sec6Config {
-    /// A scaled-down configuration for tests and benches.
+    /// A scaled-down configuration for tests and `--quick` runs.
     pub fn quick() -> Self {
         Sec6Config {
             region: "us-west1".to_owned(),
@@ -119,20 +119,7 @@ impl Sec6Config {
                 .instances()
                 .to_vec();
             let readings = probe_fleet(&mut world, &ids, PROBE_GAP);
-            let fingerprinter = Gen1Fingerprinter::default();
-            let predicted: Vec<String> = readings
-                .iter()
-                .enumerate()
-                .map(|(i, r)| match fingerprinter.fingerprint(r) {
-                    Some(f) => f.to_string(),
-                    None => format!("none-{i}"),
-                })
-                .collect();
-            let truth: Vec<u32> = readings
-                .iter()
-                .map(|r| world.host_of(r.instance).as_raw())
-                .collect();
-            PairConfusion::from_assignments(&predicted, &truth).fmi()
+            gen1_fmi(&world, &readings)
         };
 
         // Gen 2 fingerprint precision under the mitigation.
@@ -161,11 +148,8 @@ impl Sec6Config {
                         .as_khz()
                 })
                 .collect();
-            let truth: Vec<u32> = readings
-                .iter()
-                .map(|r| world.host_of(r.instance).as_raw())
-                .collect();
-            let confusion = PairConfusion::from_assignments(&predicted, &truth);
+            let confusion =
+                PairConfusion::from_assignments(&predicted, &host_labels(&world, &readings));
             let distinct = {
                 let mut values = predicted.clone();
                 values.sort_unstable();

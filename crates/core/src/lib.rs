@@ -14,7 +14,7 @@
 //! | [`coverage`] | §5.2 — victim instance coverage measurement (Figure 11) |
 //! | [`scenario`] | §5 — a builder for attacker-vs-victim setups |
 //! | [`strategy`] | §5.2 — [`strategy::naive`] (Strategy 1), [`strategy::optimized`] (Strategy 2), [`strategy::explore`] (Figure 12) |
-//! | [`experiment`] | one driver per paper figure/table, run by the campaign registry's rows and shared with tests and benches |
+//! | [`experiment`] | one driver per paper figure/table, run by the campaign registry's rows and shared with tests |
 //!
 //! Long-running entry points ([`verify::HierarchicalVerifier::verify`],
 //! the strategies, [`probe::probe_fleet`]) are instrumented with

@@ -8,7 +8,9 @@
 //!
 //! [`PlacementConfig`] collects the orchestrator tunables that the paper
 //! reverse-engineers in Section 5.1 (Observations 1–6). The defaults are
-//! calibrated against Figures 6–10; the ablation benches sweep them.
+//! calibrated against Figures 6–10; the `ablations` registry row
+//! (`eaao repro ablations`) sweeps the demand window and, on
+//! [`RegionConfig`], the popularity exponent.
 
 use eaao_cloudsim::host::HostGenConfig;
 use eaao_cloudsim::mitigation::TscMitigation;

@@ -5,6 +5,10 @@
 //!           [--timings]
 //! ```
 //!
+//! * `--root DIR` scans `DIR`. Without it the scan starts at
+//!   `CARGO_MANIFEST_DIR` (else the current directory) and takes the
+//!   nearest directory, itself included, whose `Cargo.toml` has a
+//!   `[workspace]` table; if there is none, the run is a usage error.
 //! * `--json PATH` additionally writes the findings as a machine-readable
 //!   JSON document (`-` for stdout). The document is byte-identical
 //!   across runs on the same tree.
@@ -21,9 +25,10 @@
 //!   runs — the listing cannot drift from the implementation.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use crate::baseline::{self, BASELINE_FILE};
+use crate::checks::hermeticity::strip_toml_comment;
 use crate::diag::{Diagnostic, CHECK_REGISTRY};
 use crate::jsonio;
 use crate::walk;
@@ -71,7 +76,11 @@ pub fn run(args: &[String]) -> u8 {
         print!("{}", render_check_list());
         return 0;
     }
-    let root = opts.root.unwrap_or_else(default_root);
+    let Some(root) = opts.root.or_else(default_root) else {
+        return usage_error(
+            "no Cargo.toml with a [workspace] table in this directory or above; pass --root",
+        );
+    };
 
     let outcome = walk::scan_workspace(&root);
 
@@ -199,19 +208,26 @@ fn usage_error(msg: &str) -> u8 {
     2
 }
 
-/// The workspace that built this binary (`CARGO_MANIFEST_DIR`'s
-/// grandparent when that looks like a workspace), else the current
-/// directory.
-fn default_root() -> PathBuf {
-    if let Some(manifest_dir) = std::env::var_os("CARGO_MANIFEST_DIR") {
-        let dir = PathBuf::from(manifest_dir);
-        for up in dir.ancestors().skip(1) {
-            if up.join("Cargo.toml").is_file() && up.join("crates").is_dir() {
-                return up.to_path_buf();
-            }
-        }
-    }
-    PathBuf::from(".")
+/// The workspace to scan without `--root`: the nearest directory, from
+/// `CARGO_MANIFEST_DIR` (else the current directory) upwards, whose
+/// `Cargo.toml` has a `[workspace]` table.
+fn default_root() -> Option<PathBuf> {
+    let start = match std::env::var_os("CARGO_MANIFEST_DIR") {
+        Some(dir) => PathBuf::from(dir),
+        None => std::env::current_dir().ok()?,
+    };
+    start
+        .ancestors()
+        .find(|dir| is_workspace_root(dir))
+        .map(Path::to_path_buf)
+}
+
+fn is_workspace_root(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {
+        manifest
+            .lines()
+            .any(|line| strip_toml_comment(line).trim() == "[workspace]")
+    })
 }
 
 #[cfg(test)]

@@ -155,7 +155,6 @@ const EXTERNAL_ROOTS: &[&str] = &[
     "serde_json",
     "rand",
     "proptest",
-    "criterion",
     "crossbeam",
     "parking_lot",
 ];
