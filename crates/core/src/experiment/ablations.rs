@@ -16,8 +16,8 @@
 //!   same popular hosts.
 //! * **CTest threshold `m`** (§4.3): one `CTest` settles a group of up to
 //!   `2m − 1` instances, so a wider threshold needs fewer tests; the row
-//!   also counts the pairwise fallback tests and the clusters found
-//!   against the true host count, which show what the wider groups cost.
+//!   also counts the pairwise fallback tests the wider groups cost, and
+//!   the clusters found against the true host count.
 //! * **Frequency source** (§4.2): the Gen 1 fingerprint derives the boot
 //!   time from the *reported* TSC frequency, because about 10% of hosts
 //!   *measure* it with a scatter that splits co-located instances.
@@ -348,5 +348,6 @@ mod tests {
         let m2 = config.ctest_threshold(2, 1);
         let m3 = config.ctest_threshold(3, 1);
         assert!(m3.ctests <= m2.ctests, "{m2:?} vs {m3:?}");
+        assert_eq!(m3.clusters, m3.true_hosts, "{m3:?}");
     }
 }

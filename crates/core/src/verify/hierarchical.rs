@@ -11,6 +11,12 @@
 //!    tested at once; positives are refined pairwise and their clusters
 //!    merged.
 //!
+//! Only step 2's chunk tests, of up to `2m − 1` instances or
+//! representatives, use the configured threshold `m`. The pairwise
+//! fallback and all of step 3 run at `m = 2`: a host may hold just two of
+//! their participants, and two co-located instances never reach a higher
+//! threshold. At the paper's `m = 2` the two configurations are equal.
+//!
 //! Best case — accurate fingerprints — the cost is O(number of hosts),
 //! versus O(N²) for conventional pairwise testing. The Gen 2 fingerprint
 //! cannot produce false negatives, so step 3 can be skipped entirely
@@ -206,12 +212,13 @@ impl HierarchicalVerifier {
         // the group across hosts): fall back to pairwise tests inside the
         // group, as the paper does for simplicity.
         let reps = self.representatives(group, forest);
+        let pair = self.pair_config();
         for i in 0..reps.len() {
             for j in (i + 1)..reps.len() {
                 if forest.same_cluster(reps[i], reps[j]) {
                     continue;
                 }
-                let verdicts = ctest_via(world, &[reps[i], reps[j]], &self.config, self.channel)?;
+                let verdicts = ctest_via(world, &[reps[i], reps[j]], &pair, self.channel)?;
                 stats.pairwise_fallback_tests += 1;
                 if verdicts[0] && verdicts[1] {
                     forest.merge(reps[i], reps[j]);
@@ -248,6 +255,18 @@ impl HierarchicalVerifier {
         }
     }
 
+    /// The configuration of the tests that may hold only two instances of
+    /// one host: the pairwise fallback, and the sweep over cluster
+    /// representatives with its pairwise refinement. Two co-located
+    /// instances reach a threshold of 2 and no higher, so these run at
+    /// `m = 2`; only the chunk tests use the configured `m`.
+    fn pair_config(&self) -> CTestConfig {
+        CTestConfig {
+            threshold_m: 2,
+            ..self.config
+        }
+    }
+
     /// One representative (smallest id) per current cluster among
     /// `members`.
     fn representatives(
@@ -279,7 +298,8 @@ impl HierarchicalVerifier {
         if reps.len() < 2 {
             return Ok(());
         }
-        let verdicts = ctest_via(world, &reps, &self.config, self.channel)?;
+        let pair = self.pair_config();
+        let verdicts = ctest_via(world, &reps, &pair, self.channel)?;
         stats.ctests += 1;
         let positives: Vec<InstanceId> = reps
             .iter()
@@ -292,12 +312,8 @@ impl HierarchicalVerifier {
                 if forest.same_cluster(positives[i], positives[j]) {
                     continue;
                 }
-                let verdicts = ctest_via(
-                    world,
-                    &[positives[i], positives[j]],
-                    &self.config,
-                    self.channel,
-                )?;
+                let verdicts =
+                    ctest_via(world, &[positives[i], positives[j]], &pair, self.channel)?;
                 stats.ctests += 1;
                 if verdicts[0] && verdicts[1] {
                     forest.merge(positives[i], positives[j]);
@@ -383,6 +399,52 @@ mod tests {
         let verifier = HierarchicalVerifier::new();
         let outcome = verifier.verify(&mut world, &groups).expect("alive");
         assert!(clusters_match_ground_truth(&world, &outcome, &ids));
+    }
+
+    /// Builds the fingerprint groups a test hands the verifier.
+    type Grouping = fn(&World, &[InstanceId]) -> Vec<Vec<InstanceId>>;
+
+    #[test]
+    fn thresholds_above_two_still_recover_ground_truth() {
+        // Two co-located instances reach a threshold of 2 and no higher,
+        // so a pair test or a sweep over cluster representatives only
+        // finds them at m = 2, whatever m the chunk tests use.
+        let cases: [(u64, usize, Grouping); 3] = [
+            // A fingerprint false positive: one group of every instance.
+            (2, 60, |_, ids| vec![ids.to_vec()]),
+            // False negatives: every instance alone, so only the sweep
+            // can merge.
+            (3, 60, |_, ids| ids.iter().map(|&i| vec![i]).collect()),
+            // One host's true group split in two: the sweep sees a host
+            // with two representatives.
+            (1, 80, |world, ids| {
+                let mut groups = true_groups(world, ids);
+                let widest = (0..groups.len())
+                    .max_by_key(|&g| groups[g].len())
+                    .expect("instances launched");
+                let half = groups[widest].len() / 2;
+                let split = groups[widest].split_off(half);
+                groups.push(split);
+                groups
+            }),
+        ];
+        for m in [3, 4] {
+            let verifier = HierarchicalVerifier::new().with_config(CTestConfig {
+                threshold_m: m,
+                ..CTestConfig::default()
+            });
+            for (seed, count, grouping) in cases {
+                let (mut world, ids) = launch_world(seed, count);
+                let groups = grouping(&world, &ids);
+                let outcome = verifier.verify(&mut world, &groups).expect("alive");
+                assert!(
+                    clusters_match_ground_truth(&world, &outcome, &ids),
+                    "m = {m}, seed {seed}: {} clusters over {} hosts",
+                    outcome.clusters.len(),
+                    true_groups(&world, &ids).len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -171,19 +171,6 @@ impl SimRng {
         self.unit_f64() < p
     }
 
-    /// Returns a uniformly chosen element of `items`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "below(len) is less than a usize length, so it fits a usize"
-            )]
-            Some(&items[self.below(items.len() as u64) as usize])
-        }
-    }
-
     /// Fisher–Yates shuffles `items` in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -374,12 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle() {
+    fn shuffle_is_a_permutation() {
         let mut rng = SimRng::seed_from(7);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
         let mut v: Vec<u32> = (0..100).collect();
         let orig = v.clone();
         rng.shuffle(&mut v);

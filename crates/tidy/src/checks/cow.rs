@@ -20,8 +20,8 @@
 //!   are exempt because they never cross a branch.
 //!
 //! Field findings carry symbol `Type.field`; write-site findings carry
-//! `Type.field` too (the baseline keys on `(check, file, symbol)`, so a
-//! field stays one sanctioned site no matter how often it moves).
+//! `Type.field` too, so a field stays one symbol no matter how often it
+//! is written.
 
 use crate::checks::find_token;
 use crate::diag::{CheckId, Diagnostic};

@@ -21,7 +21,7 @@
 //!
 //! Findings anchor at the field's declaration line with symbol
 //! `Type.field` (or `Type::fn.field` for a missing mention), so inline
-//! suppressions sit on the field and baseline entries survive line churn.
+//! suppressions sit on the field.
 
 use crate::diag::{CheckId, Diagnostic};
 use crate::fields::{classify, has_named_fields, returns_self, FieldModel};

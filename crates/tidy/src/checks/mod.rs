@@ -1,6 +1,6 @@
 //! The checks, and the shared per-file plumbing they all use.
 //!
-//! The lexical checks (`determinism`, `hermeticity`) each scan one file;
+//! The lexical check (`determinism`) scans one file at a time;
 //! the semantic checks (`panic_reach`, `taint`, `lock_order`) run over the
 //! whole-workspace call graph; the field-level checks (`fork_cov`, `cow`)
 //! run over the struct/field model; the concurrency checks (`threads`,
@@ -14,7 +14,6 @@
 pub mod cow;
 pub mod determinism;
 pub mod fork_cov;
-pub mod hermeticity;
 pub mod lock_order;
 pub mod panic_reach;
 pub mod queues;

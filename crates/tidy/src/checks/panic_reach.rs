@@ -80,7 +80,7 @@ pub fn check(ws: &Workspace, supp: &mut dyn SuppressionOracle, out: &mut Vec<Dia
                 CheckId::PanicReach,
                 format!(
                     "public `{}` can reach a panic (`{}` at {}:{}){via}: document it with a \
-                     `# Panics` section, or suppress/baseline with a justification",
+                     `# Panics` section, or suppress with a justification",
                     f.qual, what, ws.fns[src_id].rel, site_line
                 ),
             )

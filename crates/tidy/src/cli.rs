@@ -1,50 +1,38 @@
 //! The `eaao-tidy` command-line driver behind the `eaao-tidy` binary.
 //!
 //! ```text
-//! eaao-tidy [--root DIR] [--json PATH] [--write-baseline] [--list-checks]
-//!           [--timings]
+//! eaao-tidy [--root DIR] [--list-checks] [--timings]
 //! ```
 //!
 //! * `--root DIR` scans `DIR`. Without it the scan starts at
 //!   `CARGO_MANIFEST_DIR` (else the current directory) and takes the
 //!   nearest directory, itself included, whose `Cargo.toml` has a
 //!   `[workspace]` table; if there is none, the run is a usage error.
-//! * `--json PATH` additionally writes the findings as a machine-readable
-//!   JSON document (`-` for stdout). The document is byte-identical
-//!   across runs on the same tree.
 //! * `--timings` prints a per-phase wall-clock breakdown after the scan,
 //!   so the analysis' own runtime stays an explicit budget (the CI smoke
 //!   step gates on the total).
-//! * `--write-baseline` rewrites `tidy-baseline.json` so the current
-//!   semantic findings are accepted as known debt, carrying over
-//!   justifications for keys that already had them. New entries get an
-//!   empty justification, which is itself a finding until a human fills
-//!   it in — accepting debt takes two deliberate steps.
 //! * `--list-checks` prints every registered check with its one-line
 //!   contract and policy scope, straight from the registry the scanner
 //!   runs — the listing cannot drift from the implementation.
+//!
+//! The findings go to stdout as sorted `file:line: [check] message`
+//! lines, byte-identical across runs on the same tree.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{self, BASELINE_FILE};
-use crate::checks::hermeticity::strip_toml_comment;
-use crate::diag::{Diagnostic, CHECK_REGISTRY};
-use crate::jsonio;
-use crate::walk;
+use crate::diag::CHECK_REGISTRY;
+use crate::walk::{self, strip_toml_comment};
 
 /// Parsed command line.
 #[derive(Debug, Default)]
 struct Options {
     root: Option<PathBuf>,
-    json: Option<String>,
-    write_baseline: bool,
     list_checks: bool,
     timings: bool,
 }
 
-const USAGE: &str = "usage: eaao-tidy [--root WORKSPACE_DIR] [--json PATH|-] [--write-baseline] \
-     [--list-checks] [--timings]";
+const USAGE: &str = "usage: eaao-tidy [--root WORKSPACE_DIR] [--list-checks] [--timings]";
 
 /// Runs the CLI on already-split arguments (exclusive of the program
 /// name). Returns the process exit code: 0 clean, 1 findings, 2 usage
@@ -58,11 +46,6 @@ pub fn run(args: &[String]) -> u8 {
                 Some(path) => opts.root = Some(PathBuf::from(path)),
                 None => return usage_error("--root needs a path"),
             },
-            "--json" => match it.next() {
-                Some(path) => opts.json = Some(path.clone()),
-                None => return usage_error("--json needs a path (or `-` for stdout)"),
-            },
-            "--write-baseline" => opts.write_baseline = true,
             "--list-checks" => opts.list_checks = true,
             "--timings" => opts.timings = true,
             "--help" | "-h" => {
@@ -83,42 +66,11 @@ pub fn run(args: &[String]) -> u8 {
     };
 
     let outcome = walk::scan_workspace(&root);
-
-    if opts.write_baseline {
-        let previous = walk::load_baseline(&root).unwrap_or_default();
-        let next = baseline::rebuild(&previous, &outcome.semantic);
-        let holes = next
-            .entries
-            .iter()
-            .filter(|e| e.justification.trim().is_empty())
-            .count();
-        if let Err(err) = fs::write(root.join(BASELINE_FILE), next.render()) {
-            eprintln!("eaao-tidy: cannot write {BASELINE_FILE}: {err}");
-            return 2;
-        }
-        println!(
-            "eaao-tidy: wrote {BASELINE_FILE} with {} entr{} ({holes} missing a \
-             justification — fill those in before committing)",
-            next.entries.len(),
-            if next.entries.len() == 1 { "y" } else { "ies" },
-        );
-        return 0;
-    }
-
     for d in &outcome.findings {
         println!("{d}");
     }
     if opts.timings {
         print!("{}", render_timings(&outcome.timings));
-    }
-    if let Some(path) = &opts.json {
-        let doc = render_json(&outcome.findings);
-        if path == "-" {
-            print!("{doc}");
-        } else if let Err(err) = fs::write(path, doc) {
-            eprintln!("eaao-tidy: cannot write {path}: {err}");
-            return 2;
-        }
     }
     if outcome.findings.is_empty() {
         println!("eaao-tidy: clean");
@@ -126,8 +78,7 @@ pub fn run(args: &[String]) -> u8 {
     } else {
         eprintln!(
             "eaao-tidy: {} finding(s); see docs/STATIC_ANALYSIS.md for the \
-             policy, the `// tidy:allow(check) -- why` suppression syntax, \
-             and the {BASELINE_FILE} ratchet",
+             policy and the `// tidy:allow(check) -- why` suppression syntax",
             outcome.findings.len()
         );
         1
@@ -176,32 +127,6 @@ pub fn render_timings(timings: &[(&'static str, f64)]) -> String {
     out
 }
 
-/// Renders the findings document: a stable, versioned JSON array sorted
-/// the same way the text output is.
-pub fn render_json(findings: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
-    for (i, d) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\n      \"file\": {},\n      \"line\": {},\n      \"check\": {},\n      \
-             \"symbol\": {},\n      \"message\": {}\n    }}",
-            jsonio::quote(&d.file),
-            d.line,
-            jsonio::quote(d.check.name()),
-            jsonio::quote(&d.symbol),
-            jsonio::quote(&d.message),
-        ));
-    }
-    if findings.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
-}
-
 fn usage_error(msg: &str) -> u8 {
     eprintln!("eaao-tidy: {msg}");
     eprintln!("{USAGE}");
@@ -233,30 +158,6 @@ fn is_workspace_root(dir: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::CheckId;
-
-    #[test]
-    fn json_document_shape_is_stable() {
-        let findings = vec![
-            Diagnostic::new("a.rs", 3, CheckId::Determinism, "msg \"quoted\""),
-            Diagnostic::new("b.rs", 7, CheckId::LockOrder, "cycle").with_symbol("x -> y -> x"),
-        ];
-        let doc = render_json(&findings);
-        let parsed = jsonio::parse(&doc).expect("valid JSON");
-        let Some(jsonio::Json::Arr(items)) = parsed.get("findings") else {
-            panic!("findings array missing");
-        };
-        assert_eq!(items.len(), 2);
-        assert_eq!(
-            items[0].get("file").and_then(jsonio::Json::as_str),
-            Some("a.rs")
-        );
-        assert_eq!(
-            items[1].get("symbol").and_then(jsonio::Json::as_str),
-            Some("x -> y -> x")
-        );
-        assert_eq!(render_json(&findings), doc, "byte-stable");
-    }
 
     #[test]
     fn check_list_names_every_registered_check_once() {
@@ -287,12 +188,5 @@ mod tests {
             );
         }
         assert_eq!(render_check_list(), listing, "byte-stable");
-    }
-
-    #[test]
-    fn empty_findings_render_an_empty_array() {
-        let doc = render_json(&[]);
-        let parsed = jsonio::parse(&doc).expect("valid JSON");
-        assert_eq!(parsed.get("findings"), Some(&jsonio::Json::Arr(Vec::new())));
     }
 }

@@ -9,11 +9,9 @@ pub enum CheckId {
     /// Iteration-order hazards, wall-clock reads, ambient I/O, and
     /// non-seeded RNG construction in simulation-critical crates.
     Determinism,
-    /// Registry or git dependencies in a `Cargo.toml`.
-    Hermeticity,
     /// A crate absent from the policy table, a registered crate whose
-    /// manifest does not opt into the workspace lint table, or a source
-    /// file of a registered crate that cannot be read.
+    /// manifest does not opt into the workspace lint table, or a manifest
+    /// or source file of a registered crate that cannot be read.
     Registration,
     /// A malformed, unknown, or unused `tidy:allow` suppression.
     Suppression,
@@ -46,9 +44,6 @@ pub enum CheckId {
     /// actually handles, and the frame tables in `docs/SERVICE.md`
     /// (concurrency check).
     WireSchema,
-    /// A stale, duplicate, unjustified, or unparsable entry in
-    /// `tidy-baseline.json`.
-    Baseline,
 }
 
 impl CheckId {
@@ -57,7 +52,6 @@ impl CheckId {
     pub fn name(self) -> &'static str {
         match self {
             CheckId::Determinism => "determinism",
-            CheckId::Hermeticity => "hermeticity",
             CheckId::Registration => "registration",
             CheckId::Suppression => "suppression",
             CheckId::PanicReach => "panic-reachability",
@@ -68,24 +62,14 @@ impl CheckId {
             CheckId::ThreadLifecycle => "thread-lifecycle",
             CheckId::QueueBounds => "queue-bounds",
             CheckId::WireSchema => "wire-schema",
-            CheckId::Baseline => "baseline",
         }
     }
 
     /// Resolves a suppression name back to a check. The `meta` checks
-    /// (`registration`, `suppression`, `baseline`) are not suppressible —
+    /// (`registration`, `suppression`) are not suppressible —
     /// findings about the tool's own inputs must be fixed, not silenced.
     pub fn from_name(name: &str) -> Option<CheckId> {
         suppressible().find(|check| check.name() == name)
-    }
-
-    /// Whether the check is one of the workspace-model (semantic) checks
-    /// — call-graph, field-level, or concurrency — the only findings the
-    /// baseline ratchet may carry.
-    pub fn is_semantic(self) -> bool {
-        CHECK_REGISTRY.iter().any(|info| {
-            info.check == self && matches!(info.layer, "call-graph" | "field-level" | "concurrency")
-        })
     }
 }
 
@@ -132,15 +116,9 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         scope: "library sources of crates with policy determinism=true",
     },
     CheckInfo {
-        check: CheckId::Hermeticity,
-        layer: "lexical",
-        contract: "no registry or git dependencies in any Cargo.toml",
-        scope: "every manifest in the workspace",
-    },
-    CheckInfo {
         check: CheckId::Registration,
         layer: "meta",
-        contract: "every crate has a policy row and sets `[lints] workspace = true`; every registered source file is readable",
+        contract: "every crate has a policy row and sets `[lints] workspace = true`; every registered manifest and source file is readable",
         scope: "every crate directory under crates/ and every registered crate",
     },
     CheckInfo {
@@ -197,12 +175,6 @@ pub const CHECK_REGISTRY: &[CheckInfo] = &[
         contract: "proto.rs wire enums, peer match arms, and docs/SERVICE.md frame tables agree",
         scope: "the service crate's proto.rs/server.rs/client.rs plus docs/SERVICE.md",
     },
-    CheckInfo {
-        check: CheckId::Baseline,
-        layer: "meta",
-        contract: "every tidy-baseline.json entry is live, unique, and justified",
-        scope: "tidy-baseline.json at the workspace root",
-    },
 ];
 
 /// One finding, anchored to a workspace-relative file and 1-based line.
@@ -218,8 +190,8 @@ pub struct Diagnostic {
     pub message: String,
     /// Stable symbol the finding is about (a qualified function name for
     /// the call-graph checks, a cycle signature for lock-order). Empty
-    /// for purely lexical findings. Baseline entries match on
-    /// `(check, file, symbol)` so line churn never invalidates them.
+    /// for purely lexical findings. The fixture tests pin each semantic
+    /// finding by it, and it orders findings that share a line.
     pub symbol: String,
 }
 
@@ -235,7 +207,7 @@ impl Diagnostic {
         }
     }
 
-    /// Attaches the stable symbol used for baseline matching.
+    /// Attaches the stable symbol the finding is about.
     pub fn with_symbol(mut self, symbol: impl Into<String>) -> Self {
         self.symbol = symbol.into();
         self
@@ -272,27 +244,7 @@ mod tests {
         }
         assert_eq!(CheckId::from_name("registration"), None);
         assert_eq!(CheckId::from_name("suppression"), None);
-        assert_eq!(CheckId::from_name("baseline"), None);
         assert_eq!(CheckId::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn only_workspace_model_checks_are_semantic() {
-        // One line per check: `is_semantic` reads the registry's `layer`,
-        // so a mislabelled row would change what the baseline may carry.
-        assert!(CheckId::PanicReach.is_semantic());
-        assert!(CheckId::DeterminismTaint.is_semantic());
-        assert!(CheckId::LockOrder.is_semantic());
-        assert!(CheckId::ForkCoverage.is_semantic());
-        assert!(CheckId::CowAliasing.is_semantic());
-        assert!(CheckId::ThreadLifecycle.is_semantic());
-        assert!(CheckId::QueueBounds.is_semantic());
-        assert!(CheckId::WireSchema.is_semantic());
-        assert!(!CheckId::Determinism.is_semantic());
-        assert!(!CheckId::Hermeticity.is_semantic());
-        assert!(!CheckId::Registration.is_semantic());
-        assert!(!CheckId::Suppression.is_semantic());
-        assert!(!CheckId::Baseline.is_semantic());
     }
 
     #[test]
@@ -302,7 +254,7 @@ mod tests {
         for pair in CHECK_REGISTRY.windows(2) {
             assert!(pair[0].check < pair[1].check, "registry out of order");
         }
-        assert_eq!(CHECK_REGISTRY.len(), 13, "new CheckId? register it here");
+        assert_eq!(CHECK_REGISTRY.len(), 11, "new CheckId? register it here");
         for (i, a) in CHECK_REGISTRY.iter().enumerate() {
             for b in &CHECK_REGISTRY[i + 1..] {
                 assert_ne!(a.check.name(), b.check.name(), "duplicate name");
@@ -311,10 +263,7 @@ mod tests {
             // per check rather than through the layer it derives from.
             assert_eq!(
                 CheckId::from_name(a.check.name()).is_some(),
-                !matches!(
-                    a.check,
-                    CheckId::Registration | CheckId::Suppression | CheckId::Baseline
-                ),
+                !matches!(a.check, CheckId::Registration | CheckId::Suppression),
                 "suppressibility drifted for {}",
                 a.check
             );

@@ -5,8 +5,8 @@
 //! byte-equal JSONL trajectories, and campaign results must be identical at
 //! any `--jobs`. Tests enforce that contract *after the fact*; this crate
 //! enforces it *at the source level*, in the style of rustc's `tidy` — a
-//! dependency-free pass built on a masking lexer, which is exactly what a
-//! hermetic, registry-free workspace can support.
+//! dependency-free pass built on a masking lexer, so it builds anywhere
+//! the workspace does.
 //!
 //! The rules a compiler lint can check live in the workspace lint table
 //! instead (`[workspace.lints]` in the root `Cargo.toml`, `clippy.toml`,
@@ -39,8 +39,7 @@
 //! | check | layer | what it forbids |
 //! |---|---|---|
 //! | `determinism` | lexical | `HashMap`/`HashSet`, `SystemTime`/`Instant`, `std::env`, `std::fs`/`std::net`/`std::process`, and non-seeded RNG construction in simulation-critical crates |
-//! | `hermeticity` | lexical | registry or git dependencies in any `Cargo.toml` (workspace/`vendor/` path deps only) |
-//! | `registration` | meta | a crate under `crates/` with no policy row, a registered crate whose manifest lacks `[lints] workspace = true`, or an unreadable source file |
+//! | `registration` | meta | a crate under `crates/` with no policy row, a registered crate whose manifest lacks `[lints] workspace = true`, or an unreadable manifest or source file |
 //! | `suppression` | meta | malformed, unknown, or unused `tidy:allow` suppressions |
 //! | `panic-reachability` | call-graph | a public API that transitively reaches an undocumented panic source |
 //! | `determinism-taint` | call-graph | a simulation-critical function calling a host-crate function that transitively reaches a nondeterminism source |
@@ -50,12 +49,11 @@
 //! | `thread-lifecycle` | concurrency | discarded or leaked `JoinHandle`s, and spawned workers that can die to an uncaught panic, in `concurrency` crates |
 //! | `queue-bounds` | concurrency | queue constructions that neither fix a capacity nor name their bound in a `// bound: …` comment |
 //! | `wire-schema` | concurrency | protocol-enum variants unhandled by the peer or out of sync with the `docs/SERVICE.md` frame tables |
-//! | `baseline` | meta | stale, duplicate, unjustified, or malformed `tidy-baseline.json` entries |
 //!
 //! The per-crate policy table lives in [`policy`]; which checks apply where
 //! is data, not convention.
 //!
-//! # Suppressions and the baseline
+//! # Suppressions
 //!
 //! A finding is silenced inline with
 //!
@@ -71,33 +69,24 @@
 //! on a function's signature line is also a propagation *barrier*. The
 //! lint table's findings are silenced the compiler's way instead:
 //! `#[expect(clippy::lint, reason = "why")]` on the narrowest item or
-//! statement, which rustc reports once it stops firing.
-//!
-//! Semantic findings can alternatively be carried as known debt in
-//! `tidy-baseline.json` ([`baseline`]) — a one-way ratchet: new findings
-//! fail, fixed findings must be deleted, every entry needs a
-//! justification. See `docs/STATIC_ANALYSIS.md` for when to suppress
-//! inline versus baseline.
+//! statement, which rustc reports once it stops firing. A finding is
+//! either fixed or suppressed; there is no other way to accept one.
 //!
 //! # Running
 //!
 //! ```text
 //! cargo run -p eaao-tidy                       # non-zero exit on any finding
-//! cargo run -p eaao-tidy -- --json findings.json
-//! cargo run -p eaao-tidy -- --write-baseline
 //! cargo run -p eaao-tidy -- --list-checks      # registry: contract + scope per check
 //! ```
 //!
 //! Diagnostics are `file:line: [check-name] message`, sorted by path, and
 //! byte-identical across runs on the same tree.
 
-pub mod baseline;
 pub mod checks;
 pub mod cli;
 pub mod diag;
 pub mod fields;
 pub mod graph;
-pub mod jsonio;
 pub mod parse;
 pub mod policy;
 pub mod source;
@@ -106,4 +95,4 @@ pub mod walk;
 pub use diag::{CheckId, Diagnostic};
 pub use policy::{CratePolicy, FileKind, POLICIES};
 pub use source::SourceFile;
-pub use walk::{run_workspace, scan_workspace, ScanOutcome};
+pub use walk::{scan_workspace, ScanOutcome};

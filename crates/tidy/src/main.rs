@@ -4,8 +4,7 @@
 //! ```text
 //! cargo run -p eaao-tidy                       # scan the enclosing workspace
 //! cargo run -p eaao-tidy -- --root PATH
-//! cargo run -p eaao-tidy -- --json findings.json
-//! cargo run -p eaao-tidy -- --write-baseline   # ratchet current semantic debt
+//! cargo run -p eaao-tidy -- --timings          # per-phase scan times
 //! ```
 
 use std::process::ExitCode;

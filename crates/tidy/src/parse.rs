@@ -56,10 +56,6 @@ pub struct LockAcquire {
     pub lock: String,
     /// 1-based line of the acquisition.
     pub line: usize,
-    /// Whether the guard is bound (`let g = m.lock();`) and therefore
-    /// assumed held until its block closes, as opposed to a transient
-    /// same-statement use (`m.lock().push(…)`).
-    pub bound: bool,
     /// Locks already held at this acquisition (each yields an order edge).
     pub held: Vec<String>,
 }
@@ -116,22 +112,6 @@ pub struct QueueSite {
     pub bound_named: bool,
 }
 
-/// One `Condvar::wait`-family call (`cv.wait(&mut guard)`,
-/// `cv.wait_while(&mut guard, pred)`, `cv.wait_for(&mut guard, dur)`).
-///
-/// A condvar wait atomically *releases* its guard for the wait's duration,
-/// so it is recorded here instead of as a [`CallSite`] — treating it as a
-/// call while the lock is held would fabricate lock-order edges.
-#[derive(Debug, Clone)]
-pub struct CondvarWait {
-    /// 1-based line.
-    pub line: usize,
-    /// The method name as written (`wait`, `wait_while`, …).
-    pub what: String,
-    /// The `&mut`-borrowed guard binding the wait releases and reacquires.
-    pub guard: String,
-}
-
 /// One parsed `fn` item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
@@ -171,8 +151,6 @@ pub struct FnItem {
     pub spawns: Vec<SpawnSite>,
     /// Cross-thread-queue construction sites in the body.
     pub queues: Vec<QueueSite>,
-    /// Condvar wait sites in the body.
-    pub condvar_waits: Vec<CondvarWait>,
     /// 1-based lines carrying a `catch_unwind` token — unwind barriers
     /// for the thread-lifecycle check.
     pub catch_unwinds: Vec<usize>,
@@ -804,7 +782,6 @@ impl Parser<'_> {
             locks: Vec::new(),
             spawns: Vec::new(),
             queues: Vec::new(),
-            condvar_waits: Vec::new(),
             catch_unwinds: Vec::new(),
             body_idents: std::collections::BTreeSet::new(),
         };
@@ -974,7 +951,6 @@ impl Parser<'_> {
                 f.locks.push(LockAcquire {
                     lock: lock.clone(),
                     line: lineno,
-                    bound,
                     held,
                 });
             }
@@ -1047,19 +1023,13 @@ impl Parser<'_> {
                     if name == "lock" {
                         continue; // handled by scan_locks
                     }
+                    // A condvar wait (`cv.wait(&mut guard)`) atomically
+                    // releases its guard for the wait's duration, so it
+                    // is not a call made while holding the lock: treating
+                    // it as one would fabricate lock-order edges.
                     if WAIT_METHODS.contains(&name.as_str()) {
                         let rest: String = chars[j + 1..].iter().collect();
-                        if let Some(guard) = mut_ref_arg(&rest) {
-                            // A condvar wait atomically releases its guard
-                            // for the wait's duration: record the wait, not
-                            // a call made while holding the lock.
-                            if let Some(f) = self.current_fn_mut() {
-                                f.condvar_waits.push(CondvarWait {
-                                    line: lineno,
-                                    what: name,
-                                    guard,
-                                });
-                            }
+                        if takes_mut_ref(&rest) {
                             continue;
                         }
                     }
@@ -1474,16 +1444,13 @@ fn let_binding(code: &str) -> Option<String> {
     }
 }
 
-/// The `&mut ident` first argument of an argument list (text after the
-/// opening `(`), if the list starts exactly that way.
-fn mut_ref_arg(rest: &str) -> Option<String> {
-    let rest = rest.trim_start().strip_prefix("&mut")?.trim_start();
-    let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
-    if name.is_empty() || name.chars().next().is_some_and(char::is_numeric) {
-        None
-    } else {
-        Some(name)
-    }
+/// Whether an argument list (text after the opening `(`) starts with a
+/// `&mut ident` argument.
+fn takes_mut_ref(rest: &str) -> bool {
+    rest.trim_start()
+        .strip_prefix("&mut")
+        .and_then(|arg| arg.trim_start().chars().next())
+        .is_some_and(|c| is_ident(c) && !c.is_numeric())
 }
 
 /// The single-identifier argument of a call like `drop(guard)` (text
@@ -1889,10 +1856,8 @@ mod tests {
         let f = &m.fns[0];
         assert_eq!(f.locks.len(), 2);
         assert_eq!(f.locks[0].lock, "S.alpha");
-        assert!(f.locks[0].bound);
         assert!(f.locks[0].held.is_empty());
         assert_eq!(f.locks[1].lock, "S.beta");
-        assert!(!f.locks[1].bound);
         assert_eq!(f.locks[1].held, vec!["S.alpha".to_owned()]);
         let call = f
             .calls
@@ -2021,30 +1986,18 @@ mod tests {
     }
 
     #[test]
-    fn condvar_waits_are_recorded_instead_of_calls() {
+    fn condvar_waits_are_not_calls() {
         let m = parse(
             "impl P {\n    fn park(&self) {\n        let mut park = self.park.lock();\n        self.ready.wait(&mut park);\n        self.space.wait_while(&mut park, |s| s.full);\n        child.wait();\n    }\n}\n",
         );
-        let f = &m.fns[0];
-        let waits: Vec<(&str, &str)> = f
-            .condvar_waits
-            .iter()
-            .map(|w| (w.what.as_str(), w.guard.as_str()))
-            .collect();
-        assert_eq!(waits, vec![("wait", "park"), ("wait_while", "park")]);
-        // A `.wait()` without a `&mut guard` argument stays a plain call.
-        assert!(f
+        let waits: Vec<usize> = m.fns[0]
             .calls
             .iter()
-            .any(|c| c.target == CallTarget::Method("wait".into())));
-        // The waits themselves produced no call sites.
-        assert_eq!(
-            f.calls
-                .iter()
-                .filter(|c| c.target == CallTarget::Method("wait".into()))
-                .count(),
-            1
-        );
+            .filter(|c| matches!(&c.target, CallTarget::Method(n) if n.starts_with("wait")))
+            .map(|c| c.line)
+            .collect();
+        // Only the `.wait()` without a `&mut guard` argument is a call.
+        assert_eq!(waits, vec![6]);
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! The walk is driven by the policy table, not by globbing: each
 //! registered crate contributes its `src/`, `tests/`, `examples/`, and
 //! `benches/` trees (with [`FileKind`] deciding which checks apply), and
-//! every manifest — root, per-crate, and the vendor stand-ins — goes
-//! through the hermeticity check. Registered crates' manifests must also
-//! opt into the workspace lint table (the `registration` check).
-//! `vendor/` sources are third-party stand-ins and are not style-checked;
-//! `tests/fixtures/` subtrees are the analyzer's own known-bad corpus and
-//! are skipped by contract.
+//! its manifest must opt into the workspace lint table (the
+//! `registration` check). `vendor/` sources are third-party stand-ins and
+//! are not scanned; `tests/fixtures/` subtrees are the analyzer's own
+//! known-bad corpus and are skipped by contract.
 //!
 //! The scan runs in phases over files that are each read and lexed
 //! **once**:
@@ -19,10 +17,8 @@
 //!    determinism-taint, lock-order) run — consulting and consuming
 //!    inline suppressions through a [`SuppressionOracle`] — alongside
 //!    the field-level checks and the concurrency-lifecycle checks
-//!    (thread-lifecycle, queue-bounds, wire-schema),
-//! 3. suppressions are applied and accounted centrally, and
-//! 4. surviving *semantic* findings pass through the baseline ratchet
-//!    (`tidy-baseline.json`).
+//!    (thread-lifecycle, queue-bounds, wire-schema), and
+//! 3. suppressions are applied and accounted centrally.
 //!
 //! Each phase is timed; `--timings` renders the breakdown so the
 //! analysis' own runtime stays an explicit budget.
@@ -30,8 +26,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{self, Baseline, BASELINE_FILE};
-use crate::checks::hermeticity::strip_toml_comment;
 use crate::checks::{self, SuppressionOracle};
 use crate::diag::{CheckId, Diagnostic};
 use crate::fields::{self, FieldModel};
@@ -43,14 +37,10 @@ use crate::source::SourceFile;
 /// The result of a full workspace scan.
 #[derive(Debug, Default)]
 pub struct ScanOutcome {
-    /// Everything that fails the run: lexical findings, post-baseline
-    /// semantic findings, suppression and baseline meta-findings. Sorted
-    /// by (file, line, check) and deduplicated.
+    /// Everything that fails the run: lexical and semantic findings that
+    /// no suppression silenced, plus the meta findings. Sorted by (file,
+    /// line, check, symbol) and deduplicated.
     pub findings: Vec<Diagnostic>,
-    /// Semantic findings *before* baseline filtering (post-suppression),
-    /// in the same sorted order — the input `--write-baseline` ratchets
-    /// from.
-    pub semantic: Vec<Diagnostic>,
     /// Wall-clock milliseconds per scan phase, in execution order — what
     /// `--timings` renders, and what the CI runtime-budget gate reads.
     pub timings: Vec<(&'static str, f64)>,
@@ -76,12 +66,6 @@ impl SuppressionOracle for WorkspaceSuppressions<'_> {
         let ctx = &mut self.files[file_idx];
         ctx.src.is_suppressed(line, check, &mut ctx.used)
     }
-}
-
-/// Runs every check over the workspace rooted at `root` and returns the
-/// findings sorted by file, line, and check.
-pub fn run_workspace(root: &Path) -> Vec<Diagnostic> {
-    scan_workspace(root).findings
 }
 
 /// Runs the full scan pipeline; see the module docs for the phases.
@@ -158,20 +142,17 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
     }
     lap("field+concurrency", &mut timings);
 
-    let mut semantic: Vec<Diagnostic> = Vec::new();
     {
         let mut oracle = WorkspaceSuppressions { files: &mut files };
-        checks::panic_reach::check(&ws, &mut oracle, &mut semantic);
-        checks::taint::check(&ws, &mut oracle, &mut semantic);
-        checks::lock_order::check(&ws, &mut oracle, &mut semantic);
+        checks::panic_reach::check(&ws, &mut oracle, &mut findings);
+        checks::taint::check(&ws, &mut oracle, &mut findings);
+        checks::lock_order::check(&ws, &mut oracle, &mut findings);
         for (file_idx, diag) in field_raw {
             if !oracle.suppressed(file_idx, diag.line, diag.check) {
-                semantic.push(diag);
+                findings.push(diag);
             }
         }
     }
-    sort_diags(&mut semantic);
-    semantic.dedup();
     lap("semantic", &mut timings);
 
     // Phase 3: apply + account suppressions for the lexical findings.
@@ -182,49 +163,11 @@ pub fn scan_workspace(root: &Path) -> ScanOutcome {
         checks::account_suppressions(&ctx.rel, &ctx.src, &ctx.used, &mut findings);
     }
 
-    // Phase 4: the baseline ratchet over the semantic findings.
-    let (surviving, meta) = match load_baseline(root) {
-        Ok(b) => baseline::apply(&b, semantic.clone()),
-        Err(d) => (semantic.clone(), vec![d]),
-    };
-    findings.extend(surviving);
-    findings.extend(meta);
-
-    check_manifests(root, &mut findings);
     check_registration(root, &mut findings);
     sort_diags(&mut findings);
     findings.dedup();
-    lap("suppress+baseline", &mut timings);
-    ScanOutcome {
-        findings,
-        semantic,
-        timings,
-    }
-}
-
-/// Loads and parses `tidy-baseline.json`; a missing file is an empty
-/// baseline, an unreadable or malformed one is a finding.
-pub fn load_baseline(root: &Path) -> Result<Baseline, Diagnostic> {
-    let path = root.join(BASELINE_FILE);
-    if !path.is_file() {
-        return Ok(Baseline::default());
-    }
-    match fs::read_to_string(&path) {
-        Ok(text) => Baseline::parse(&text).map_err(|err| {
-            Diagnostic::new(
-                BASELINE_FILE,
-                1,
-                CheckId::Baseline,
-                format!("cannot parse baseline: {err}"),
-            )
-        }),
-        Err(err) => Err(Diagnostic::new(
-            BASELINE_FILE,
-            1,
-            CheckId::Baseline,
-            format!("cannot read baseline: {err}"),
-        )),
-    }
+    lap("suppress", &mut timings);
+    ScanOutcome { findings, timings }
 }
 
 fn sort_diags(diags: &mut [Diagnostic]) {
@@ -304,80 +247,35 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Runs every manifest through the hermeticity check. A registered
-/// crate's manifest must also inherit the workspace lint table, so a new
-/// crate cannot slip out of the rustc/clippy policy.
-fn check_manifests(root: &Path, diags: &mut Vec<Diagnostic>) {
+/// The `registration` check. Every directory under `crates/` must have a
+/// row in the policy table, so adding a crate forces an explicit decision
+/// about its rules, and every registered crate's manifest must inherit
+/// the workspace lint table, so a new crate cannot slip out of the
+/// rustc/clippy policy.
+fn check_registration(root: &Path, diags: &mut Vec<Diagnostic>) {
     // A policy row whose crate directory is absent contributes nothing:
-    // fixture mini-workspaces legitimately materialize only a couple of
-    // the registered crates. (A *present* crate with an unreadable
-    // manifest is still a finding.)
-    let mut manifests: Vec<(PathBuf, Option<&CratePolicy>)> = POLICIES
+    // fixture mini-workspaces materialize only a couple of the registered
+    // crates. (A *present* crate with an unreadable manifest is still a
+    // finding.)
+    for policy in POLICIES
         .iter()
         .filter(|p| p.dir.is_empty() || root.join(p.dir).is_dir())
-        .map(|p| (root.join(p.dir).join("Cargo.toml"), Some(p)))
-        .collect();
-    if let Ok(entries) = fs::read_dir(root.join("vendor")) {
-        let mut vendor: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path().join("Cargo.toml"))
-            .filter(|p| p.is_file())
-            .collect();
-        vendor.sort();
-        manifests.extend(vendor.into_iter().map(|path| (path, None)));
-    }
-    for (path, policy) in manifests {
-        let rel = rel_path(root, &path);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(err) => {
-                diags.push(Diagnostic::new(
-                    &rel,
-                    1,
-                    CheckId::Hermeticity,
-                    format!("cannot read manifest: {err}"),
-                ));
-                continue;
-            }
+    {
+        let path = root.join(policy.dir).join("Cargo.toml");
+        let message = match fs::read_to_string(&path) {
+            Ok(text) if inherits_workspace_lints(&text) => continue,
+            Ok(_) => format!(
+                "`{}` does not set `[lints] workspace = true`; every \
+                 workspace crate inherits the lint policy declared in the \
+                 root Cargo.toml",
+                policy.name
+            ),
+            Err(err) => format!("cannot read manifest: {err}"),
         };
-        checks::hermeticity::check(&rel, &text, diags);
-        let Some(policy) = policy else { continue };
-        if !inherits_workspace_lints(&text) {
-            diags.push(Diagnostic::new(
-                &rel,
-                1,
-                CheckId::Registration,
-                format!(
-                    "`{}` does not set `[lints] workspace = true`; every \
-                     workspace crate inherits the lint policy declared in \
-                     the root Cargo.toml",
-                    policy.name
-                ),
-            ));
-        }
+        let rel = rel_path(root, &path);
+        diags.push(Diagnostic::new(&rel, 1, CheckId::Registration, message));
     }
-}
 
-/// Whether a manifest's `[lints]` table sets `workspace = true`.
-fn inherits_workspace_lints(manifest: &str) -> bool {
-    let mut in_lints = false;
-    for raw in manifest.lines() {
-        let line = strip_toml_comment(raw).trim();
-        if line.starts_with('[') {
-            in_lints = line == "[lints]";
-        } else if in_lints {
-            let mut kv = line.splitn(2, '=').map(str::trim);
-            if kv.next() == Some("workspace") && kv.next() == Some("true") {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Every directory under `crates/` must have a row in the policy table —
-/// adding a crate forces an explicit decision about its rules.
-fn check_registration(root: &Path, diags: &mut Vec<Diagnostic>) {
     let Ok(entries) = fs::read_dir(root.join("crates")) else {
         return;
     };
@@ -401,6 +299,36 @@ fn check_registration(root: &Path, diags: &mut Vec<Diagnostic>) {
             ));
         }
     }
+}
+
+/// Whether a manifest's `[lints]` table sets `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for raw in manifest.lines() {
+        let line = strip_toml_comment(raw).trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints {
+            let mut kv = line.splitn(2, '=').map(str::trim);
+            if kv.next() == Some("workspace") && kv.next() == Some("true") {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// Drops a `# comment` unless the `#` sits inside a quoted string.
+pub(crate) fn strip_toml_comment(line: &str) -> &str {
+    let mut in_str = false;
+    for (i, c) in line.char_indices() {
+        match c {
+            '"' => in_str = !in_str,
+            '#' if !in_str => return &line[..i],
+            _ => {}
+        }
+    }
+    line
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

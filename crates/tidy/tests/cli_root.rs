@@ -1,6 +1,7 @@
-//! Where the `eaao-tidy` binary scans when no `--root` is given: the
-//! nearest directory with a `[workspace]` manifest, found by walking up
-//! from `CARGO_MANIFEST_DIR` or, without it, the current directory.
+//! The `eaao-tidy` binary's command line: where it scans when no `--root`
+//! is given (the nearest directory with a `[workspace]` manifest, found
+//! by walking up from `CARGO_MANIFEST_DIR` or, without it, the current
+//! directory), and how it refuses an argument it does not know.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,8 +39,8 @@ fn temp_dir_for(test: &str) -> PathBuf {
 fn a_run_inside_a_crate_scans_the_whole_workspace() {
     // The real tree, from this crate's directory and from the root.
     let root = workspace_root();
-    let inside = tidy_in(Path::new(env!("CARGO_MANIFEST_DIR")), &["--json", "-"]);
-    let at_root = tidy_in(&root, &["--json", "-"]);
+    let inside = tidy_in(Path::new(env!("CARGO_MANIFEST_DIR")), &[]);
+    let at_root = tidy_in(&root, &[]);
     assert_eq!(inside.status.code(), at_root.status.code());
     assert_eq!(
         String::from_utf8_lossy(&inside.stdout),
@@ -52,9 +53,9 @@ fn a_run_inside_a_crate_scans_the_whole_workspace() {
     fs::write(ws.join("Cargo.toml"), "[workspace]\n").expect("write the manifest");
     let crate_src = ws.join("crates/core/src");
     fs::create_dir_all(&crate_src).expect("create a crate dir");
-    let inside = tidy_in(&crate_src, &["--json", "-"]);
+    let inside = tidy_in(&crate_src, &[]);
     let ws_arg = ws.to_str().expect("a UTF-8 temp path");
-    let explicit = tidy_in(&root, &["--root", ws_arg, "--json", "-"]);
+    let explicit = tidy_in(&root, &["--root", ws_arg]);
     fs::remove_dir_all(&ws).expect("remove the temp workspace");
     assert_eq!(explicit.status.code(), Some(1), "the tree has findings");
     assert_eq!(inside.status.code(), Some(1));
@@ -73,4 +74,18 @@ fn no_workspace_manifest_above_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("[workspace]"), "{stderr}");
+}
+
+#[test]
+fn the_removed_flags_are_unknown_arguments() {
+    let root = workspace_root();
+    for args in [&["--json", "-"][..], &["--write-baseline"][..]] {
+        let out = tidy_in(&root, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument `{}`", args[0])),
+            "{stderr}"
+        );
+    }
 }

@@ -70,16 +70,6 @@ fn determinism_fixture_is_exempt_for_host_crates_and_tests() {
 }
 
 #[test]
-fn hermeticity_fixture_flags_registry_and_git_deps() {
-    let text = include_str!("fixtures/bad_manifest.toml");
-    let mut d = Vec::new();
-    checks::hermeticity::check("crates/bad/Cargo.toml", text, &mut d);
-    // `rand = "0.8"`, the git dep, and the version-only `[dependencies.proptest]`
-    // table (reported at its header line).
-    assert_eq!(lines_of(&d, CheckId::Hermeticity), vec![6, 7, 9], "{d:?}");
-}
-
-#[test]
 fn justified_suppressions_silence_exactly_the_named_check() {
     let text = include_str!("fixtures/suppressed.rs");
     let d = run(sim_policy(), FileKind::LibSrc, "crates/core/src/s.rs", text);

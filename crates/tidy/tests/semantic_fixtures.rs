@@ -2,13 +2,12 @@
 //! `tests/fixtures/semantic/` that each pin one call-graph finding to an
 //! exact file, line, and symbol — plus a companion proof that the lexical
 //! pass alone misses it, which is the whole reason the graph layer exists.
-//! The meta checks that need a whole workspace (a stale baseline, a crate
-//! outside the lint policy) are pinned here too.
+//! The meta check that needs a whole workspace (a crate outside the lint
+//! policy) is pinned here too.
 
 use std::path::{Path, PathBuf};
 
 use eaao_tidy::checks;
-use eaao_tidy::cli::render_json;
 use eaao_tidy::diag::Diagnostic;
 use eaao_tidy::policy::{policy_for_dir, FileKind};
 use eaao_tidy::walk::scan_workspace;
@@ -168,19 +167,6 @@ fn arc_write_bypassing_make_mut_is_pinned_and_lexically_invisible() {
 }
 
 #[test]
-fn stale_baseline_entries_are_findings_at_their_json_line() {
-    let root = fixture_root("stale_baseline");
-    let findings = scan_workspace(&root).findings;
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let d = &findings[0];
-    assert_eq!(d.file, "tidy-baseline.json");
-    assert_eq!(d.line, 4, "anchored at the entry's opening brace");
-    assert_eq!(d.check.name(), "baseline");
-    assert!(d.message.contains("stale entry"), "{}", d.message);
-    assert!(d.message.contains("eaao_core::gone"), "{}", d.message);
-}
-
-#[test]
 fn a_crate_outside_the_lint_policy_is_a_registration_finding() {
     let root = fixture_root("unlinted");
     let findings = scan_workspace(&root).findings;
@@ -198,10 +184,20 @@ fn a_crate_outside_the_lint_policy_is_a_registration_finding() {
 }
 
 #[test]
-fn json_output_is_byte_identical_across_runs() {
+fn text_output_is_byte_identical_across_runs() {
     let root = fixture_root("panic_reach");
-    let first = render_json(&scan_workspace(&root).findings);
-    let second = render_json(&scan_workspace(&root).findings);
+    let render = || {
+        let findings = scan_workspace(&root).findings;
+        findings
+            .iter()
+            .map(|d| format!("{d}\n"))
+            .collect::<String>()
+    };
+    let first = render();
     assert!(!first.is_empty());
-    assert_eq!(first, second, "the scan must be deterministic to the byte");
+    assert_eq!(
+        first,
+        render(),
+        "the scan must be deterministic to the byte"
+    );
 }
