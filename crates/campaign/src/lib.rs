@@ -25,7 +25,7 @@
 //!   experiment: name, grid axes, run, text render, co-location headline.
 //! * [`spec`] — [`CampaignSpec`](spec::CampaignSpec) and its expansion
 //!   into [`RunSpec`](spec::RunSpec) grid cells.
-//! * [`pool`] — the work-stealing [`Executor`](pool::Executor).
+//! * [`pool`] — the resident, shareable [`Executor`](pool::Executor).
 //! * [`runner`] — one-cell execution: seed derivation, the row's run,
 //!   panic capture, [`RunRecord`](runner::RunRecord).
 //! * [`sink`] — the JSONL streams and the resume manifest.

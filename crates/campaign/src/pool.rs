@@ -1,10 +1,10 @@
-//! A shareable, long-lived work-stealing executor for run grids.
+//! A shareable, long-lived executor for run grids.
 //!
-//! Built on the `crossbeam` deque (a shared [`Injector`] feeding
-//! per-worker queues with stealing between them) and a `crossbeam`
-//! channel for completion streaming. Results are slotted by task index,
-//! so the output order is the input order regardless of worker count or
-//! scheduling — the executor introduces no nondeterminism of its own.
+//! Jobs wait in one FIFO `crossbeam` channel that every worker receives
+//! from, and a second channel streams completions back to the submitter.
+//! Results are slotted by task index, so the output order is the input
+//! order regardless of worker count or scheduling — the executor
+//! introduces no nondeterminism of its own.
 //!
 //! Unlike a scoped, per-campaign pool, an [`Executor`] is a **resident**
 //! pool: worker threads are spawned once and live until the last handle
@@ -12,126 +12,61 @@
 //! concurrent submitters — the batch CLI runs one campaign over it, while
 //! the `eaao-serve` daemon multiplexes every client's campaigns over a
 //! single pool for the life of the process. Shutdown **drains**: when the
-//! last handle drops, workers finish every queued and in-flight task
-//! before exiting — nothing is aborted.
+//! last handle drops, the job queue closes and workers finish every
+//! queued and in-flight task before exiting — nothing is aborted.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel;
-use crossbeam::deque::{Injector, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
 /// The unit of pool work: a boxed, self-contained closure.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Mutable scheduler state guarded by the park lock.
-struct Park {
-    /// Set once by the last handle's drop; workers exit when they see it
-    /// *and* no work is visible anywhere.
-    shutdown: bool,
-}
-
 /// State shared between handles and worker threads.
 struct Shared {
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
-    park: Mutex<Park>,
-    /// Workers wait here when every queue is empty.
-    work_ready: Condvar,
-    /// [`Executor::drain`] waits here for quiescence.
-    idle: Condvar,
     /// Jobs submitted but not yet finished (queued + in-flight).
-    outstanding: AtomicUsize,
-    jobs: usize,
+    outstanding: Mutex<usize>,
+    /// [`Executor::drain`] waits here for `outstanding` to reach zero.
+    idle: Condvar,
 }
 
-impl Shared {
-    /// Whether any queue a worker could service holds a task. A worker's
-    /// own local queue is always drained before it consults this.
-    fn has_visible_work(&self) -> bool {
-        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
-    }
-
-    /// Enqueues one job and wakes a parked worker.
-    fn submit(&self, job: Job) {
-        self.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.injector.push(job);
-        let _guard = self.park.lock();
-        self.work_ready.notify_one();
-    }
-
-    /// Accounts one finished job, waking [`Executor::drain`] waiters at
-    /// quiescence.
-    fn finish_one(&self) {
-        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.park.lock();
-            self.idle.notify_all();
-        }
-    }
-
-    /// Flags shutdown and wakes every parked worker so it can re-check.
-    fn begin_shutdown(&self) {
-        let mut park = self.park.lock();
-        park.shutdown = true;
-        self.work_ready.notify_all();
-    }
-}
-
-/// One worker thread: drain local work, steal, park when idle, exit on
-/// drained shutdown.
-fn worker_loop(me: usize, local: Worker<Job>, shared: Arc<Shared>) {
-    loop {
-        let job = local
-            .pop()
-            .or_else(|| shared.injector.steal_batch_and_pop(&local).success())
-            .or_else(|| {
-                shared
-                    .stealers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(victim, _)| victim != me)
-                    .find_map(|(_, stealer)| stealer.steal().success())
-            });
-        match job {
-            Some(job) => {
-                // A panicking job must not take the (shared, resident)
-                // pool down with it. `run_with` jobs catch their own
-                // panics and re-raise on the submitting thread; this
-                // outer catch only contains the unwind.
-                #[expect(
-                    clippy::let_underscore_must_use,
-                    reason = "run_with re-raised the payload already"
-                )]
-                let _ = catch_unwind(AssertUnwindSafe(job));
-                shared.finish_one();
-            }
-            None => {
-                let mut park = shared.park.lock();
-                if shared.has_visible_work() {
-                    continue; // raced with a submit; retry without parking
-                }
-                if park.shutdown {
-                    break; // drained: nothing queued anywhere, flag set
-                }
-                shared.work_ready.wait(&mut park);
-            }
+/// One worker thread: run jobs in queue order until the queue is closed
+/// and empty.
+fn worker_loop(queue: channel::Receiver<Job>, shared: Arc<Shared>) {
+    while let Ok(job) = queue.recv() {
+        // A panicking job must not take the (shared, resident) pool down
+        // with it. `run_with` jobs catch their own panics and re-raise on
+        // the submitting thread; this outer catch only contains the
+        // unwind.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "run_with re-raised the payload already"
+        )]
+        let _ = catch_unwind(AssertUnwindSafe(job));
+        let mut outstanding = shared.outstanding.lock();
+        *outstanding -= 1;
+        if *outstanding == 0 {
+            shared.idle.notify_all();
         }
     }
 }
 
-/// Joins the workers once the last [`Executor`] handle drops.
+/// The job queue's sending end and the workers, closed and joined once
+/// the last [`Executor`] handle drops.
 struct PoolOwner {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// `None` only while dropping.
+    queue: Option<channel::Sender<Job>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Drop for PoolOwner {
     fn drop(&mut self) {
-        self.shared.begin_shutdown();
-        for handle in self.workers.lock().drain(..) {
+        // Closing the queue lets each worker drain what is left, then exit.
+        self.queue = None;
+        for handle in self.workers.drain(..) {
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "panics were reported via the channel; Drop must not re-raise"
@@ -151,17 +86,14 @@ impl Drop for PoolOwner {
 #[derive(Clone)]
 pub struct Executor {
     shared: Arc<Shared>,
-    _owner: Arc<PoolOwner>,
+    owner: Arc<PoolOwner>,
 }
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("jobs", &self.shared.jobs)
-            .field(
-                "outstanding",
-                &self.shared.outstanding.load(Ordering::Relaxed),
-            )
+            .field("jobs", &self.jobs())
+            .field("outstanding", &self.outstanding())
             .finish()
     }
 }
@@ -171,51 +103,60 @@ impl Executor {
     /// least 1). Threads are spawned immediately and live until the last
     /// handle drops.
     pub fn new(jobs: usize) -> Self {
-        let jobs = jobs.max(1);
-        let locals: Vec<Worker<Job>> = (0..jobs).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job>> = locals.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
-            park: Mutex::new(Park { shutdown: false }),
-            work_ready: Condvar::new(),
+            outstanding: Mutex::new(0),
             idle: Condvar::new(),
-            outstanding: AtomicUsize::new(0),
-            jobs,
         });
-        let workers = locals
-            .into_iter()
-            .enumerate()
-            .map(|(me, local)| {
+        // bound: one job per submitted task; each run_with caller waits for its own, and the daemon caps campaigns in flight
+        let (queue_tx, queue_rx) = channel::unbounded::<Job>();
+        let workers = (0..jobs.max(1))
+            .map(|_| {
+                let queue = queue_rx.clone();
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(me, local, shared))
+                std::thread::spawn(move || worker_loop(queue, shared))
             })
             .collect();
         Executor {
-            shared: Arc::clone(&shared),
-            _owner: Arc::new(PoolOwner {
-                shared,
-                workers: Mutex::new(workers),
+            shared,
+            owner: Arc::new(PoolOwner {
+                queue: Some(queue_tx),
+                workers,
             }),
         }
     }
 
+    /// Enqueues one job, counting it outstanding until a worker has run
+    /// it.
+    fn submit(&self, job: Job) {
+        *self.shared.outstanding.lock() += 1;
+        let queue = self
+            .owner
+            .queue
+            .as_ref()
+            .expect("open while a handle lives");
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "workers receive until the queue closes, so the send cannot fail"
+        )]
+        let _ = queue.send(job);
+    }
+
     /// Number of worker threads.
     pub fn jobs(&self) -> usize {
-        self.shared.jobs
+        self.owner.workers.len()
     }
 
     /// Jobs submitted but not yet finished, across every submitter.
     pub fn outstanding(&self) -> usize {
-        self.shared.outstanding.load(Ordering::Acquire)
+        *self.shared.outstanding.lock()
     }
 
     /// Blocks until every job submitted so far (by any handle) has
     /// finished. New submissions arriving while draining extend the wait.
     pub fn drain(&self) {
-        let mut park = self.shared.park.lock();
-        while self.shared.outstanding.load(Ordering::Acquire) != 0 {
-            self.shared.idle.wait(&mut park);
+        let mut outstanding = self.shared.outstanding.lock();
+        while *outstanding != 0 {
+            self.shared.idle.wait(&mut outstanding);
         }
     }
 
@@ -224,7 +165,7 @@ impl Executor {
     /// and its payload discarded. Use [`Executor::run_with`] when results
     /// or panics matter.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.submit(Box::new(job));
+        self.submit(Box::new(job));
     }
 
     /// Runs `work` over every task, returning results in task order.
@@ -267,7 +208,7 @@ impl Executor {
         for (index, task) in tasks.into_iter().enumerate() {
             let work = Arc::clone(&work);
             let done_tx = done_tx.clone();
-            self.shared.submit(Box::new(move || {
+            self.submit(Box::new(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| work(index, task)));
                 #[expect(
                     clippy::let_underscore_must_use,
@@ -431,5 +372,15 @@ mod tests {
         // The pool survives and keeps executing new work.
         let out = executor.run(vec![7u32], |_, x| x);
         assert_eq!(out, vec![7]);
+    }
+
+    #[test]
+    fn a_panicking_spawned_job_spares_the_pool() {
+        let executor = Executor::new(2);
+        executor.spawn(|| panic!("a spawned job explodes"));
+        executor.drain();
+        assert_eq!(executor.outstanding(), 0);
+        let out = executor.run((0..20).collect::<Vec<u32>>(), |_, x| x + 1);
+        assert_eq!(out, (1..21).collect::<Vec<_>>());
     }
 }

@@ -30,7 +30,7 @@ use eaao_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::CoLocationForest;
-use crate::verify::ctest::{ctest_via, CTestConfig, VerifierChannel};
+use crate::verify::ctest::{ctest, CTestConfig};
 
 /// Accounting for one verification campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -82,9 +82,6 @@ impl VerificationOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct HierarchicalVerifier {
     config: CTestConfig,
-    /// The physical channel every test runs over (default: the paper's
-    /// RNG unit; the campaign `verifier` axis selects the bus channel).
-    channel: VerifierChannel,
     /// Skip the false-negative sweep (valid for Gen 2 fingerprints, which
     /// cannot split one host across fingerprints).
     skip_false_negative_sweep: bool,
@@ -96,7 +93,6 @@ impl HierarchicalVerifier {
     pub fn new() -> Self {
         HierarchicalVerifier {
             config: CTestConfig::default(),
-            channel: VerifierChannel::RngCtest,
             skip_false_negative_sweep: false,
         }
     }
@@ -105,12 +101,6 @@ impl HierarchicalVerifier {
     pub fn with_config(mut self, config: CTestConfig) -> Self {
         config.validate();
         self.config = config;
-        self
-    }
-
-    /// Runs every test over an explicit [`VerifierChannel`].
-    pub fn with_channel(mut self, channel: VerifierChannel) -> Self {
-        self.channel = channel;
         self
     }
 
@@ -218,7 +208,7 @@ impl HierarchicalVerifier {
                 if forest.same_cluster(reps[i], reps[j]) {
                     continue;
                 }
-                let verdicts = ctest_via(world, &[reps[i], reps[j]], &pair, self.channel)?;
+                let verdicts = ctest(world, &[reps[i], reps[j]], &pair)?;
                 stats.pairwise_fallback_tests += 1;
                 if verdicts[0] && verdicts[1] {
                     forest.merge(reps[i], reps[j]);
@@ -238,7 +228,7 @@ impl HierarchicalVerifier {
         stats: &mut VerifierStats,
     ) -> Result<bool, GuestError> {
         debug_assert!(participants.len() <= self.config.max_unambiguous_group());
-        let verdicts = ctest_via(world, participants, &self.config, self.channel)?;
+        let verdicts = ctest(world, participants, &self.config)?;
         stats.ctests += 1;
         let positives: Vec<InstanceId> = participants
             .iter()
@@ -299,7 +289,7 @@ impl HierarchicalVerifier {
             return Ok(());
         }
         let pair = self.pair_config();
-        let verdicts = ctest_via(world, &reps, &pair, self.channel)?;
+        let verdicts = ctest(world, &reps, &pair)?;
         stats.ctests += 1;
         let positives: Vec<InstanceId> = reps
             .iter()
@@ -312,8 +302,7 @@ impl HierarchicalVerifier {
                 if forest.same_cluster(positives[i], positives[j]) {
                     continue;
                 }
-                let verdicts =
-                    ctest_via(world, &[positives[i], positives[j]], &pair, self.channel)?;
+                let verdicts = ctest(world, &[positives[i], positives[j]], &pair)?;
                 stats.ctests += 1;
                 if verdicts[0] && verdicts[1] {
                     forest.merge(positives[i], positives[j]);

@@ -1,9 +1,9 @@
-//! Profiling hooks: the [`Instrument`] sink trait, the thread-local
-//! dispatch that instrumented code emits into, and RAII [`SpanGuard`]s.
+//! Profiling hooks: the [`Collector`] sink, the thread-local dispatch
+//! that instrumented code emits into, and RAII [`SpanGuard`]s.
 //!
 //! Instrumented code never owns a sink. It calls the free functions
 //! ([`span`], [`count`], [`gauge`], [`observe`]) which route to whatever
-//! [`Instrument`] the surrounding [`with_instrument`] scope installed on
+//! [`Collector`] the surrounding [`with_instrument`] scope installed on
 //! the current thread — or do nothing, cheaply, when no scope is active.
 //! This is what lets the orchestrator, simulator, and experiment drivers
 //! stay observability-agnostic while the campaign engine collects per-run
@@ -19,27 +19,8 @@ use serde::{Serialize, Value};
 use crate::event::{Event, EventKind, SCHEMA_VERSION};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
-/// A sink for structured events and metrics.
-///
-/// Implementations must be thread-safe; the built-in [`Collector`] is the
-/// canonical one. `now_ns` anchors span timestamps — it must be monotonic
-/// and non-decreasing for the lifetime of the instrument.
-pub trait Instrument: Send + Sync {
-    /// Whether span/point events should be constructed at all. Metrics
-    /// updates are always applied; returning `false` here makes spans
-    /// nearly free.
-    fn wants_events(&self) -> bool;
-    /// Accepts one event (only called when [`Instrument::wants_events`]
-    /// returns `true`).
-    fn record(&self, event: Event);
-    /// The metrics registry updates are applied to.
-    fn metrics(&self) -> &MetricsRegistry;
-    /// Monotonic nanoseconds since the instrument's clock anchor.
-    fn now_ns(&self) -> u64;
-}
-
 struct ActiveScope {
-    instrument: Arc<dyn Instrument>,
+    collector: Arc<Collector>,
     span_stack: Vec<u64>,
     next_span: u64,
 }
@@ -48,10 +29,10 @@ thread_local! {
     static ACTIVE: RefCell<Option<ActiveScope>> = const { RefCell::new(None) };
 }
 
-/// Runs `f` with `instrument` installed as the current thread's sink,
+/// Runs `f` with `collector` installed as the current thread's sink,
 /// restoring the previous sink (if any) afterwards — including on panic,
 /// so a caught panic in instrumented code cannot leak a stale scope.
-pub fn with_instrument<R>(instrument: Arc<dyn Instrument>, f: impl FnOnce() -> R) -> R {
+pub fn with_instrument<R>(collector: Arc<Collector>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<ActiveScope>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -60,7 +41,7 @@ pub fn with_instrument<R>(instrument: Arc<dyn Instrument>, f: impl FnOnce() -> R
     }
     let previous = ACTIVE.with(|active| {
         active.borrow_mut().replace(ActiveScope {
-            instrument,
+            collector,
             span_stack: Vec::new(),
             next_span: 1,
         })
@@ -69,7 +50,7 @@ pub fn with_instrument<R>(instrument: Arc<dyn Instrument>, f: impl FnOnce() -> R
     f()
 }
 
-/// Whether an instrument is installed on the current thread.
+/// Whether a collector is installed on the current thread.
 pub fn active() -> bool {
     ACTIVE.with(|active| active.borrow().is_some())
 }
@@ -79,7 +60,7 @@ pub fn active() -> bool {
 pub fn count(name: &str, delta: u64) {
     ACTIVE.with(|active| {
         if let Some(scope) = active.borrow().as_ref() {
-            scope.instrument.metrics().counter(name).add(delta);
+            scope.collector.metrics.counter(name).add(delta);
         }
     });
 }
@@ -89,7 +70,7 @@ pub fn count(name: &str, delta: u64) {
 pub fn gauge(name: &str, value: f64) {
     ACTIVE.with(|active| {
         if let Some(scope) = active.borrow().as_ref() {
-            scope.instrument.metrics().gauge(name).set(value);
+            scope.collector.metrics.gauge(name).set(value);
         }
     });
 }
@@ -99,7 +80,7 @@ pub fn gauge(name: &str, value: f64) {
 pub fn observe(name: &str, value: u64) {
     ACTIVE.with(|active| {
         if let Some(scope) = active.borrow().as_ref() {
-            scope.instrument.metrics().histogram(name).record(value);
+            scope.collector.metrics.histogram(name).record(value);
         }
     });
 }
@@ -138,11 +119,6 @@ impl SpanGuard {
         self.field(key, value.to_value());
     }
 
-    /// Attaches a float annotation.
-    pub fn f64_field(&mut self, key: &str, value: f64) {
-        self.field(key, value.to_value());
-    }
-
     /// Attaches a string annotation.
     pub fn str_field(&mut self, key: &str, value: &str) {
         self.field(key, Value::String(value.to_owned()));
@@ -167,7 +143,7 @@ impl Drop for SpanGuard {
             if let Some(position) = scope.span_stack.iter().rposition(|&id| id == active.id) {
                 scope.span_stack.truncate(position);
             }
-            let now = scope.instrument.now_ns();
+            let now = scope.collector.now_ns();
             let event = Event {
                 v: SCHEMA_VERSION,
                 run: None,
@@ -183,7 +159,7 @@ impl Drop for SpanGuard {
                     Value::Object(active.fields)
                 },
             };
-            scope.instrument.record(event);
+            scope.collector.record(event);
         });
     }
 }
@@ -197,17 +173,17 @@ pub fn span(name: &str) -> SpanGuard {
     let active = ACTIVE.with(|scope_cell| {
         let mut borrow = scope_cell.borrow_mut();
         let scope = borrow.as_mut()?;
-        if !scope.instrument.wants_events() {
+        if !scope.collector.collect_events {
             return None;
         }
         let id = scope.next_span;
         scope.next_span += 1;
         let parent = scope.span_stack.last().copied();
-        let start_ns = scope.instrument.now_ns();
+        let start_ns = scope.collector.now_ns();
         let mut start = Event::new(EventKind::SpanStart, name, start_ns);
         start.span = Some(id);
         start.parent = parent;
-        scope.instrument.record(start);
+        scope.collector.record(start);
         scope.span_stack.push(id);
         Some(SpanActive {
             name: name.to_owned(),
@@ -228,21 +204,22 @@ pub fn point(name: &str, fields: Vec<(String, Value)>) {
         let Some(scope) = borrow.as_ref() else {
             return;
         };
-        if !scope.instrument.wants_events() {
+        if !scope.collector.collect_events {
             return;
         }
-        let mut event = Event::new(EventKind::Point, name, scope.instrument.now_ns());
+        let mut event = Event::new(EventKind::Point, name, scope.collector.now_ns());
         event.parent = scope.span_stack.last().copied();
         event.fields = if fields.is_empty() {
             Value::Null
         } else {
             Value::Object(fields)
         };
-        scope.instrument.record(event);
+        scope.collector.record(event);
     });
 }
 
-/// The built-in [`Instrument`]: buffers events in memory and owns a
+/// The sink of a [`with_instrument`] scope: buffers events in memory
+/// (when built [`with_events`](Collector::with_events)) and owns a
 /// [`MetricsRegistry`], with timestamps anchored to its creation instant.
 ///
 /// The campaign engine installs one `Collector` per run (on the worker
@@ -293,21 +270,13 @@ impl Collector {
     pub fn drain_events(&self) -> Vec<Event> {
         std::mem::take(&mut self.events.lock())
     }
-}
 
-impl Instrument for Collector {
-    fn wants_events(&self) -> bool {
-        self.collect_events
-    }
-
+    /// Buffers one event (called only when `collect_events` is set).
     fn record(&self, event: Event) {
         self.events.lock().push(event);
     }
 
-    fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
+    /// Monotonic nanoseconds since the collector's creation instant.
     fn now_ns(&self) -> u64 {
         let elapsed = self.clock.elapsed().as_nanos();
         u64::try_from(elapsed).unwrap_or(u64::MAX)

@@ -17,9 +17,8 @@
 //! * [`metrics`] — counters, gauges, and fixed-bucket log-scale
 //!   [`Histogram`]s whose serialized [`MetricsSnapshot`] is deterministic
 //!   (independent of thread interleaving and `--jobs`).
-//! * [`instrument`] — the [`Instrument`] sink trait, the thread-local
-//!   [`with_instrument`] dispatch, RAII [`SpanGuard`]s, and the built-in
-//!   [`Collector`].
+//! * [`instrument`] — the [`Collector`] sink, the thread-local
+//!   [`with_instrument`] dispatch, and RAII [`SpanGuard`]s.
 //! * [`trace`] — the on-disk [`TraceWriter`] and the [`TraceSummary`]
 //!   aggregator behind `eaao trace`.
 //!
@@ -66,7 +65,7 @@ pub mod trace;
 
 pub use event::{Event, EventKind, SCHEMA_VERSION};
 pub use instrument::{
-    active, count, gauge, observe, point, span, with_instrument, Collector, Instrument, SpanGuard,
+    active, count, gauge, observe, point, span, with_instrument, Collector, SpanGuard,
 };
 pub use metrics::{
     bucket_bound, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
@@ -79,7 +78,7 @@ pub use trace::{SpanStats, TraceSummary, TraceWriter};
 pub mod prelude {
     pub use crate::event::{Event, EventKind};
     pub use crate::instrument::{
-        count, gauge, observe, point, span, with_instrument, Collector, Instrument, SpanGuard,
+        count, gauge, observe, point, span, with_instrument, Collector, SpanGuard,
     };
     pub use crate::metrics::{MetricsRegistry, MetricsSnapshot};
     pub use crate::scrape::{render, render_with_labels};

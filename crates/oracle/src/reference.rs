@@ -196,10 +196,13 @@ impl CapacityIndex for ScanCapacity {
     fn plan_spill_pick(&mut self, occupancy: &Occupancy, rng: &mut SimRng) -> Option<HostId> {
         // Rebuild the availability-masked popularity weights from scratch
         // — exactly the weights the optimized index maintains in `avail`.
-        let weights: Vec<u64> = (0..self.cell_of_host.len())
-            .map(|h| {
+        let weights: Vec<u64> = self
+            .pop_fixed
+            .iter()
+            .enumerate()
+            .map(|(h, &weight)| {
                 if self.effective_free(h, occupancy) > 0 {
-                    self.pop_fixed[h]
+                    weight
                 } else {
                     0
                 }

@@ -14,8 +14,8 @@
 //!   ground truth the capacity index mirrors.
 //! * [`placement`] — base hosts per account (scheduling cells), helper-host
 //!   exploration under load, near-uniform spreading, dynamic placement.
-//! * [`platform`] — the pluggable [`PlatformPolicy`] axis: the CloudRun
-//!   policy plus Lambda-like (partitioned bin-packing) and Azure-like
+//! * [`platform`] — the [`PlatformPolicy`] enum: the CloudRun policy
+//!   plus Lambda-like (partitioned bin-packing) and Azure-like
 //!   (reuse-biased, long keep-alive) schedulers, swept as the campaign
 //!   `platform` axis (see `docs/PLATFORMS.md`).
 //! * [`world`] — accounts, services, launches, the idle reaper (Figure 6),
@@ -53,9 +53,7 @@ pub use config::{PlacementConfig, RegionConfig};
 pub use engine::{CapacityIndex, Engine, OptimizedEngine};
 pub use error::{GuestError, LaunchError};
 pub use occupancy::Occupancy;
-pub use platform::{
-    AnyPlatformPolicy, AzureLikePolicy, KeepAlive, LambdaLikePolicy, PlatformKind, PlatformPolicy,
-};
+pub use platform::{AzureLikePolicy, KeepAlive, LambdaLikePolicy, PlatformKind, PlatformPolicy};
 pub use world::{Launch, World};
 
 /// Convenient glob import of the orchestrator types.
@@ -68,8 +66,7 @@ pub mod prelude {
     pub use crate::occupancy::Occupancy;
     pub use crate::placement::CloudRunPolicy;
     pub use crate::platform::{
-        AnyPlatformPolicy, AzureLikePolicy, KeepAlive, LambdaLikePolicy, PlatformKind,
-        PlatformPolicy,
+        AzureLikePolicy, KeepAlive, LambdaLikePolicy, PlatformKind, PlatformPolicy,
     };
     pub use crate::world::{Launch, World, CTEST_ROUND_DURATION};
 }

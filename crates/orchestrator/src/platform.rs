@@ -1,20 +1,16 @@
-//! Pluggable placement-policy axis: CloudRun, Lambda-like, Azure-like.
+//! The placement-policy families: CloudRun, Lambda-like, Azure-like.
 //!
 //! The paper reverse-engineers exactly one orchestrator (Cloud Run,
 //! Section 5.1), but the attack pipeline — launch many, fingerprint,
 //! verify — is platform-agnostic: "Bit of a Close Talker" runs the same
 //! shape against AWS Lambda and Azure Functions, and the Placement
 //! Vulnerability Study treats the placement policy itself as the variable
-//! under attack. This module makes the policy a second trait axis next to
-//! [`Engine`]: the [`PlatformPolicy`] trait abstracts what
-//! [`World`](crate::world::World) needs from a scheduler, and three
-//! implementations model the three
-//! policy families the literature measures:
+//! under attack. [`PlatformPolicy`] is the closed set of the three policy
+//! families the literature measures, one enum variant each:
 //!
 //! * [`CloudRunPolicy`] — the paper's base-host / helper-host policy,
-//!   unchanged (the trait impl delegates to the existing inherent
-//!   methods, draw for draw — the `eaao-oracle` differential suite pins
-//!   its trajectories byte-identical across the refactor).
+//!   unchanged (the `eaao-oracle` differential suite pins its
+//!   trajectories byte-identical).
 //! * [`LambdaLikePolicy`] — bin-packing with per-account sandbox
 //!   partitioning and **no** helper-host spill: AWS places a customer's
 //!   Firecracker microVMs densely on hosts claimed for that account and
@@ -28,15 +24,13 @@
 //!   (the Close Talker paper's Azure sections report instances surviving
 //!   idle far past the other platforms).
 //!
-//! [`AnyPlatformPolicy`] is the value-level dispatcher the default
-//! `World` uses: it builds whichever policy [`RegionConfig::platform`]
-//! names, so campaign grids can sweep platforms without monomorphizing a
-//! `World` per platform.
+//! [`PlatformPolicy::build`] picks the variant [`RegionConfig::platform`]
+//! names, so campaign grids sweep platforms through one `World` type.
 //!
-//! Paper-section map: the trait surface corresponds to the §4 attack
+//! Paper-section map: the enum's methods correspond to the §4 attack
 //! pipeline's platform assumptions (launch → place → idle-reap), the
-//! CloudRun impl to §5.1 Observations 1–6, and the Lambda/Azure impls to
-//! the Close Talker paper's AWS and Azure placement findings
+//! CloudRun variant to §5.1 Observations 1–6, and the Lambda/Azure
+//! variants to the Close Talker paper's AWS and Azure placement findings
 //! (PAPERS.md, arxiv 2512.10361).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -134,10 +128,10 @@ impl fmt::Display for PlatformKind {
 /// The idle-lifecycle parameters a policy hands the reaper: how long an
 /// idle instance survives before gradual termination.
 ///
-/// [`PlatformPolicy::keep_alive`] defaults to a passthrough of the
-/// region's [`PlacementConfig`] (Cloud Run's Figure 6 timings); the
-/// Azure-like policy stretches them, which is what makes its warm-reuse
-/// rate observably higher under the same workload.
+/// [`PlatformPolicy::keep_alive`] passes the region's
+/// [`PlacementConfig`] through (Cloud Run's Figure 6 timings) on every
+/// platform but Azure-like, which stretches them — that is what makes
+/// its warm-reuse rate observably higher under the same workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeepAlive {
     /// Grace period before any idle termination.
@@ -159,78 +153,97 @@ impl KeepAlive {
     }
 }
 
-/// What [`World`](crate::world::World) needs from a placement policy —
-/// the second trait axis next to [`Engine`].
+/// What [`World`](crate::world::World) schedules with: the placement
+/// policy of the platform family [`RegionConfig::platform`] names.
 ///
-/// Implementations must be deterministic: every random decision draws
-/// from the `SimRng` handed to [`build`](PlatformPolicy::build), in an
-/// order that depends only on the call sequence. The engine contract
-/// carries over: the same policy on two different engines must consume
-/// identical RNG streams (the differential-oracle surface).
+/// Every policy is deterministic: every random decision draws from the
+/// `SimRng` handed to [`build`](PlatformPolicy::build), in an order that
+/// depends only on the call sequence. The engine contract carries over:
+/// the same policy on two different engines must consume identical RNG
+/// streams (the differential-oracle surface).
 ///
-/// Policies are `Clone` so [`World::branch`](crate::world::World::branch)
-/// can fork a world mid-run: a clone must capture the full policy state
-/// (caches, claims, affinity, RNG position) so the branch and an
-/// un-branched original replay identically.
-pub trait PlatformPolicy<E: Engine>: fmt::Debug + Clone + Sized {
-    /// Builds the policy for a data center. `rng` is the policy's
-    /// private stream, pre-forked by the world (label `"policy"`).
-    fn build(dc: &DataCenter, region: &RegionConfig, rng: SimRng) -> Self;
+/// A clone captures the full policy state (caches, claims, affinity, RNG
+/// position), so [`World::branch`](crate::world::World::branch) can fork
+/// a world mid-run and the branch and an un-branched original replay
+/// identically.
+#[derive(Debug)]
+pub enum PlatformPolicy<E: Engine = OptimizedEngine> {
+    /// The paper's Cloud Run policy.
+    CloudRun(CloudRunPolicy<E>),
+    /// The Lambda-like partitioned bin-packer.
+    LambdaLike(LambdaLikePolicy<E>),
+    /// The Azure-like reuse-biased scheduler.
+    AzureLike(AzureLikePolicy<E>),
+}
+
+// Manual impl: `derive(Clone)` would demand `E: Clone`.
+impl<E: Engine> Clone for PlatformPolicy<E> {
+    fn clone(&self) -> Self {
+        match self {
+            PlatformPolicy::CloudRun(p) => PlatformPolicy::CloudRun(p.clone()),
+            PlatformPolicy::LambdaLike(p) => PlatformPolicy::LambdaLike(p.clone()),
+            PlatformPolicy::AzureLike(p) => PlatformPolicy::AzureLike(p.clone()),
+        }
+    }
+}
+
+impl<E: Engine> PlatformPolicy<E> {
+    /// Builds the policy [`RegionConfig::platform`] names for a data
+    /// center. `rng` is the policy's private stream, pre-forked by the
+    /// world (label `"policy"`).
+    pub fn build(dc: &DataCenter, region: &RegionConfig, rng: SimRng) -> Self {
+        match region.platform {
+            // The CloudRun arm hands `rng` through untouched, so the
+            // default world's RNG stream is the one `CloudRunPolicy::new`
+            // always drew from (oracle byte-identity).
+            PlatformKind::CloudRun => PlatformPolicy::CloudRun(CloudRunPolicy::new(
+                dc,
+                region.placement,
+                region.dynamic_placement,
+                rng,
+            )),
+            PlatformKind::LambdaLike => PlatformPolicy::LambdaLike(LambdaLikePolicy::new(dc, rng)),
+            PlatformKind::AzureLike => PlatformPolicy::AzureLike(AzureLikePolicy::new(dc, rng)),
+        }
+    }
 
     /// Number of scheduling cells (capacity-index granularity).
-    fn cell_count(&self) -> usize;
+    pub fn cell_count(&self) -> usize {
+        match self {
+            PlatformPolicy::CloudRun(p) => p.cell_count(),
+            // No scheduling cells: Lambda-like's account partition is
+            // dynamic (claims grow over time), Azure-like has none.
+            PlatformPolicy::LambdaLike(_) | PlatformPolicy::AzureLike(_) => 1,
+        }
+    }
 
     /// The scheduling cell of each host (`map[h]` is host `h`'s cell).
-    fn host_cells(&self) -> Vec<u32>;
+    pub fn host_cells(&self) -> Vec<u32> {
+        match self {
+            PlatformPolicy::CloudRun(p) => p.host_cells(),
+            PlatformPolicy::LambdaLike(p) => vec![0; p.pop_sampler.len()],
+            PlatformPolicy::AzureLike(p) => vec![0; p.pop_sampler.len()],
+        }
+    }
 
     /// The hosts this policy prefers for an account (base hosts on
     /// CloudRun, claimed sandbox hosts on Lambda-like, seen hosts on
     /// Azure-like) — simulation-side introspection for placement
     /// analyses.
-    fn base_hosts(&mut self, account: AccountId) -> &[HostId];
+    pub fn base_hosts(&mut self, account: AccountId) -> &[HostId] {
+        match self {
+            PlatformPolicy::CloudRun(p) => p.base_hosts(account),
+            PlatformPolicy::LambdaLike(p) => p.claims.entry(account).or_default(),
+            PlatformPolicy::AzureLike(p) => p.seen.entry(account).or_default(),
+        }
+    }
 
     /// Plans placement of `need_new` new instances against `capacity`'s
     /// planning overlay (tentative only; committing is the caller's
     /// job), querying it with the world's `occupancy`. `pressure` is the
-    /// service's demand pressure; policies without a load balancer
-    /// ignore it.
-    fn plan(
-        &mut self,
-        occupancy: &Occupancy,
-        capacity: &mut E::Capacity,
-        service: ServiceId,
-        account: AccountId,
-        need_new: usize,
-        pressure: usize,
-    ) -> PlacementPlan;
-
-    /// The idle-lifecycle parameters the reaper should use. Defaults to
-    /// the region's configured (Cloud Run) timings.
-    fn keep_alive(&self, config: &PlacementConfig) -> KeepAlive {
-        KeepAlive::from_config(config)
-    }
-}
-
-impl<E: Engine> PlatformPolicy<E> for CloudRunPolicy<E> {
-    fn build(dc: &DataCenter, region: &RegionConfig, rng: SimRng) -> Self {
-        // Exactly the pre-trait construction path: same arguments, same
-        // single salt draw, so trajectories stay byte-identical.
-        CloudRunPolicy::new(dc, region.placement, region.dynamic_placement, rng)
-    }
-
-    fn cell_count(&self) -> usize {
-        self.cell_count()
-    }
-
-    fn host_cells(&self) -> Vec<u32> {
-        self.host_cells()
-    }
-
-    fn base_hosts(&mut self, account: AccountId) -> &[HostId] {
-        self.base_hosts(account)
-    }
-
-    fn plan(
+    /// service's demand pressure; only Cloud Run's load balancer reads
+    /// it.
+    pub fn plan(
         &mut self,
         occupancy: &Occupancy,
         capacity: &mut E::Capacity,
@@ -239,7 +252,32 @@ impl<E: Engine> PlatformPolicy<E> for CloudRunPolicy<E> {
         need_new: usize,
         pressure: usize,
     ) -> PlacementPlan {
-        self.plan(occupancy, capacity, service, account, need_new, pressure)
+        match self {
+            PlatformPolicy::CloudRun(p) => {
+                p.plan(occupancy, capacity, service, account, need_new, pressure)
+            }
+            PlatformPolicy::LambdaLike(p) => p.plan(occupancy, capacity, account, need_new),
+            PlatformPolicy::AzureLike(p) => p.plan(occupancy, capacity, service, account, need_new),
+        }
+    }
+
+    /// The idle-lifecycle parameters the reaper should use: the region's
+    /// configured (Cloud Run) timings, stretched by
+    /// [`AZURE_KEEP_ALIVE_FACTORS`] on Azure-like.
+    pub fn keep_alive(&self, config: &PlacementConfig) -> KeepAlive {
+        match self {
+            PlatformPolicy::AzureLike(_) => {
+                let (grace, spread, cap) = AZURE_KEEP_ALIVE_FACTORS;
+                KeepAlive {
+                    idle_grace: config.idle_grace * grace,
+                    idle_termination_spread: config.idle_termination_spread * spread,
+                    idle_hard_cap: config.idle_hard_cap * cap,
+                }
+            }
+            PlatformPolicy::CloudRun(_) | PlatformPolicy::LambdaLike(_) => {
+                KeepAlive::from_config(config)
+            }
+        }
     }
 }
 
@@ -290,9 +328,15 @@ impl<E: Engine> fmt::Debug for LambdaLikePolicy<E> {
 }
 
 impl<E: Engine> LambdaLikePolicy<E> {
-    /// The hosts claimed for an account so far, in claim order.
-    pub fn claimed_hosts(&self, account: AccountId) -> &[HostId] {
-        self.claims.get(&account).map_or(&[], Vec::as_slice)
+    fn new(dc: &DataCenter, rng: SimRng) -> Self {
+        // Closed-form genesis lane: no host is materialized here, and
+        // the optimized engine shares the pool's cached sampler lanes.
+        LambdaLikePolicy {
+            rng,
+            pop_sampler: E::popularity_sampler(dc),
+            claims: BTreeMap::new(),
+            owned: BTreeSet::new(),
+        }
     }
 
     /// Claims the most attractive unclaimed host (popularity-weighted),
@@ -310,43 +354,13 @@ impl<E: Engine> LambdaLikePolicy<E> {
         self.claims.entry(account).or_default().push(host);
         Some(host)
     }
-}
-
-impl<E: Engine> PlatformPolicy<E> for LambdaLikePolicy<E> {
-    fn build(dc: &DataCenter, _region: &RegionConfig, rng: SimRng) -> Self {
-        // Closed-form genesis lane: no host is materialized here, and
-        // the optimized engine shares the pool's cached sampler lanes.
-        LambdaLikePolicy {
-            rng,
-            pop_sampler: E::popularity_sampler(dc),
-            claims: BTreeMap::new(),
-            owned: BTreeSet::new(),
-        }
-    }
-
-    fn cell_count(&self) -> usize {
-        // No scheduling cells: the account partition is the only
-        // structure, and it is dynamic (claims grow over time).
-        1
-    }
-
-    fn host_cells(&self) -> Vec<u32> {
-        vec![0; self.pop_sampler.len()]
-    }
-
-    fn base_hosts(&mut self, account: AccountId) -> &[HostId] {
-        self.claims.entry(account).or_default();
-        self.claimed_hosts(account)
-    }
 
     fn plan(
         &mut self,
         occupancy: &Occupancy,
         capacity: &mut E::Capacity,
-        _service: ServiceId,
         account: AccountId,
         need_new: usize,
-        _pressure: usize,
     ) -> PlacementPlan {
         if need_new == 0 {
             return Vec::new();
@@ -433,6 +447,17 @@ impl<E: Engine> fmt::Debug for AzureLikePolicy<E> {
 pub const AZURE_KEEP_ALIVE_FACTORS: (i64, i64, i64) = (4, 2, 4);
 
 impl<E: Engine> AzureLikePolicy<E> {
+    fn new(dc: &DataCenter, rng: SimRng) -> Self {
+        // Closed-form genesis lane: no host is materialized here, and
+        // the optimized engine shares the pool's cached sampler lanes.
+        AzureLikePolicy {
+            rng,
+            pop_sampler: E::popularity_sampler(dc),
+            affinity: BTreeMap::new(),
+            seen: BTreeMap::new(),
+        }
+    }
+
     /// The affinity hosts a service has accumulated, in first-use order.
     pub fn affinity_hosts(&self, service: ServiceId) -> &[HostId] {
         self.affinity.get(&service).map_or(&[], Vec::as_slice)
@@ -449,32 +474,6 @@ impl<E: Engine> AzureLikePolicy<E> {
         )]
         picks.first().map(|&i| HostId::from_raw(i as u32))
     }
-}
-
-impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
-    fn build(dc: &DataCenter, _region: &RegionConfig, rng: SimRng) -> Self {
-        // Closed-form genesis lane: no host is materialized here, and
-        // the optimized engine shares the pool's cached sampler lanes.
-        AzureLikePolicy {
-            rng,
-            pop_sampler: E::popularity_sampler(dc),
-            affinity: BTreeMap::new(),
-            seen: BTreeMap::new(),
-        }
-    }
-
-    fn cell_count(&self) -> usize {
-        1
-    }
-
-    fn host_cells(&self) -> Vec<u32> {
-        vec![0; self.pop_sampler.len()]
-    }
-
-    fn base_hosts(&mut self, account: AccountId) -> &[HostId] {
-        self.seen.entry(account).or_default();
-        self.seen.get(&account).map_or(&[], Vec::as_slice)
-    }
 
     fn plan(
         &mut self,
@@ -483,7 +482,6 @@ impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
         service: ServiceId,
         account: AccountId,
         need_new: usize,
-        _pressure: usize,
     ) -> PlacementPlan {
         if need_new == 0 {
             return Vec::new();
@@ -536,124 +534,6 @@ impl<E: Engine> PlatformPolicy<E> for AzureLikePolicy<E> {
         }
         plan
     }
-
-    fn keep_alive(&self, config: &PlacementConfig) -> KeepAlive {
-        let (grace, spread, cap) = AZURE_KEEP_ALIVE_FACTORS;
-        KeepAlive {
-            idle_grace: config.idle_grace * grace,
-            idle_termination_spread: config.idle_termination_spread * spread,
-            idle_hard_cap: config.idle_hard_cap * cap,
-        }
-    }
-}
-
-/// Value-level platform dispatch: builds whichever policy
-/// [`RegionConfig::platform`] names. This is the default `P` of
-/// [`World`](crate::world::World), so one monomorphized world serves
-/// every platform a campaign grid sweeps.
-#[derive(Debug)]
-pub enum AnyPlatformPolicy<E: Engine = OptimizedEngine> {
-    /// The paper's Cloud Run policy.
-    CloudRun(CloudRunPolicy<E>),
-    /// The Lambda-like partitioned bin-packer.
-    LambdaLike(LambdaLikePolicy<E>),
-    /// The Azure-like reuse-biased scheduler.
-    AzureLike(AzureLikePolicy<E>),
-}
-
-// Manual impl: `derive(Clone)` would demand `E: Clone`.
-impl<E: Engine> Clone for AnyPlatformPolicy<E> {
-    fn clone(&self) -> Self {
-        match self {
-            AnyPlatformPolicy::CloudRun(p) => AnyPlatformPolicy::CloudRun(p.clone()),
-            AnyPlatformPolicy::LambdaLike(p) => AnyPlatformPolicy::LambdaLike(p.clone()),
-            AnyPlatformPolicy::AzureLike(p) => AnyPlatformPolicy::AzureLike(p.clone()),
-        }
-    }
-}
-
-impl<E: Engine> AnyPlatformPolicy<E> {
-    /// The concrete CloudRun policy, if that is what this is (placement
-    /// analyses that need helper-host introspection).
-    pub fn as_cloudrun(&self) -> Option<&CloudRunPolicy<E>> {
-        match self {
-            AnyPlatformPolicy::CloudRun(p) => Some(p),
-            _ => None,
-        }
-    }
-}
-
-impl<E: Engine> PlatformPolicy<E> for AnyPlatformPolicy<E> {
-    fn build(dc: &DataCenter, region: &RegionConfig, rng: SimRng) -> Self {
-        match region.platform {
-            // The CloudRun arm hands `rng` through untouched, so the
-            // default world's RNG stream is identical to the pre-trait
-            // `CloudRunPolicy::new` path (oracle byte-identity).
-            PlatformKind::CloudRun => {
-                AnyPlatformPolicy::CloudRun(PlatformPolicy::<E>::build(dc, region, rng))
-            }
-            PlatformKind::LambdaLike => {
-                AnyPlatformPolicy::LambdaLike(PlatformPolicy::<E>::build(dc, region, rng))
-            }
-            PlatformKind::AzureLike => {
-                AnyPlatformPolicy::AzureLike(PlatformPolicy::<E>::build(dc, region, rng))
-            }
-        }
-    }
-
-    fn cell_count(&self) -> usize {
-        match self {
-            AnyPlatformPolicy::CloudRun(p) => PlatformPolicy::<E>::cell_count(p),
-            AnyPlatformPolicy::LambdaLike(p) => p.cell_count(),
-            AnyPlatformPolicy::AzureLike(p) => p.cell_count(),
-        }
-    }
-
-    fn host_cells(&self) -> Vec<u32> {
-        match self {
-            AnyPlatformPolicy::CloudRun(p) => PlatformPolicy::<E>::host_cells(p),
-            AnyPlatformPolicy::LambdaLike(p) => p.host_cells(),
-            AnyPlatformPolicy::AzureLike(p) => p.host_cells(),
-        }
-    }
-
-    fn base_hosts(&mut self, account: AccountId) -> &[HostId] {
-        match self {
-            AnyPlatformPolicy::CloudRun(p) => PlatformPolicy::<E>::base_hosts(p, account),
-            AnyPlatformPolicy::LambdaLike(p) => p.base_hosts(account),
-            AnyPlatformPolicy::AzureLike(p) => p.base_hosts(account),
-        }
-    }
-
-    fn plan(
-        &mut self,
-        occupancy: &Occupancy,
-        capacity: &mut E::Capacity,
-        service: ServiceId,
-        account: AccountId,
-        need_new: usize,
-        pressure: usize,
-    ) -> PlacementPlan {
-        match self {
-            AnyPlatformPolicy::CloudRun(p) => PlatformPolicy::<E>::plan(
-                p, occupancy, capacity, service, account, need_new, pressure,
-            ),
-            AnyPlatformPolicy::LambdaLike(p) => {
-                p.plan(occupancy, capacity, service, account, need_new, pressure)
-            }
-            AnyPlatformPolicy::AzureLike(p) => {
-                p.plan(occupancy, capacity, service, account, need_new, pressure)
-            }
-        }
-    }
-
-    fn keep_alive(&self, config: &PlacementConfig) -> KeepAlive {
-        match self {
-            AnyPlatformPolicy::CloudRun(p) => PlatformPolicy::<E>::keep_alive(p, config),
-            AnyPlatformPolicy::LambdaLike(p) => PlatformPolicy::<E>::keep_alive(p, config),
-            AnyPlatformPolicy::AzureLike(p) => p.keep_alive(config),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -675,12 +555,12 @@ mod tests {
             .with_platform(platform)
     }
 
-    fn build<P: PlatformPolicy<OptimizedEngine>>(
+    fn build(
         dc: &DataCenter,
         region: &RegionConfig,
         seed: u64,
-    ) -> (P, IncrementalCapacity) {
-        let p = P::build(dc, region, SimRng::seed_from(seed));
+    ) -> (PlatformPolicy, IncrementalCapacity) {
+        let p = PlatformPolicy::build(dc, region, SimRng::seed_from(seed));
         let cap = IncrementalCapacity::new(dc, p.host_cells(), p.cell_count());
         (p, cap)
     }
@@ -699,7 +579,7 @@ mod tests {
         let dc = dc(1, 60);
         let occ = Occupancy::default();
         let region = region(60, PlatformKind::LambdaLike);
-        let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 2);
+        let (mut p, mut cap) = build(&dc, &region, 2);
         let plan_a = p.plan(
             &occ,
             &mut cap,
@@ -726,7 +606,7 @@ mod tests {
         let dc = dc(3, 60);
         let occ = Occupancy::default();
         let region = region(60, PlatformKind::LambdaLike);
-        let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 4);
+        let (mut p, mut cap) = build(&dc, &region, 4);
         let plan = p.plan(
             &occ,
             &mut cap,
@@ -740,7 +620,7 @@ mod tests {
         // Bin-packing: far fewer hosts than CloudRun's target-density
         // spread (100 / 10.7 ≈ 10 hosts there).
         assert!(hosts.len() < 8, "used {} hosts", hosts.len());
-        assert_eq!(p.claimed_hosts(AccountId::from_raw(1)).len(), hosts.len());
+        assert_eq!(p.base_hosts(AccountId::from_raw(1)).len(), hosts.len());
     }
 
     #[test]
@@ -748,7 +628,7 @@ mod tests {
         let dc = dc(5, 60);
         let occ = Occupancy::default();
         let region = region(60, PlatformKind::LambdaLike);
-        let (mut p, mut cap) = build::<LambdaLikePolicy<OptimizedEngine>>(&dc, &region, 6);
+        let (mut p, mut cap) = build(&dc, &region, 6);
         let svc = ServiceId::from_raw(1);
         let acct = AccountId::from_raw(1);
         let cold: HashSet<HostId> = p
@@ -763,7 +643,7 @@ mod tests {
         // partition (which only grows when capacity demands it).
         assert!(hot.is_subset(&cold.union(&hot).copied().collect()));
         assert!(
-            p.claimed_hosts(acct).len() <= cold.len() + hot.len(),
+            p.base_hosts(acct).len() <= cold.len() + hot.len(),
             "pressure must not claim speculative hosts"
         );
     }
@@ -773,7 +653,7 @@ mod tests {
         let dc = dc(7, 60);
         let occ = Occupancy::default();
         let region = region(60, PlatformKind::AzureLike);
-        let (mut p, mut cap) = build::<AzureLikePolicy<OptimizedEngine>>(&dc, &region, 8);
+        let (mut p, mut cap) = build(&dc, &region, 8);
         let svc = ServiceId::from_raw(1);
         let acct = AccountId::from_raw(1);
         let first: HashSet<HostId> = p
@@ -787,8 +667,11 @@ mod tests {
         // The overlay never commits, so the capacity freed between plans
         // means the second launch packs onto the exact same hosts.
         assert_eq!(first, second, "affinity reuse");
+        let PlatformPolicy::AzureLike(azure) = &p else {
+            panic!("azure-like region built {p:?}");
+        };
         assert_eq!(
-            p.affinity_hosts(svc).len(),
+            azure.affinity_hosts(svc).len(),
             first.len(),
             "affinity records the footprint"
         );
@@ -797,42 +680,26 @@ mod tests {
     #[test]
     fn azure_keep_alive_is_stretched() {
         let dc = dc(9, 30);
-        let region = region(30, PlatformKind::AzureLike);
-        let (p, _cap) = build::<AzureLikePolicy<OptimizedEngine>>(&dc, &region, 10);
         let base = PlacementConfig::default();
-        let ka = p.keep_alive(&base);
+        let (azure, _cap) = build(&dc, &region(30, PlatformKind::AzureLike), 10);
+        let ka = azure.keep_alive(&base);
         assert_eq!(ka.idle_grace, base.idle_grace * 4);
         assert_eq!(ka.idle_hard_cap, base.idle_hard_cap * 4);
         assert!(ka.idle_hard_cap >= SimDuration::from_mins(60));
         // CloudRun stays on the contract.
-        let dc2 = dc_for_cloudrun();
-        let cr: CloudRunPolicy<OptimizedEngine> = PlatformPolicy::build(
-            &dc2,
-            &RegionConfig::us_west1().with_hosts(30),
-            SimRng::seed_from(11),
-        );
-        assert_eq!(
-            PlatformPolicy::<OptimizedEngine>::keep_alive(&cr, &base),
-            KeepAlive::from_config(&base)
-        );
-    }
-
-    fn dc_for_cloudrun() -> DataCenter {
-        let mut rng = SimRng::seed_from(12);
-        DataCenter::generate("test", 30, &HostGenConfig::default(), 0.9, &mut rng)
+        let (cloudrun, _cap) = build(&dc, &region(30, PlatformKind::CloudRun), 11);
+        assert_eq!(cloudrun.keep_alive(&base), KeepAlive::from_config(&base));
     }
 
     #[test]
-    fn any_policy_dispatches_on_region_platform() {
+    fn build_picks_the_region_platform() {
         let dc = dc(13, 60);
         for kind in PlatformKind::ALL {
-            let region = region(60, kind);
-            let p: AnyPlatformPolicy<OptimizedEngine> =
-                PlatformPolicy::build(&dc, &region, SimRng::seed_from(14));
+            let (p, _cap) = build(&dc, &region(60, kind), 14);
             match (kind, &p) {
-                (PlatformKind::CloudRun, AnyPlatformPolicy::CloudRun(_)) => {}
-                (PlatformKind::LambdaLike, AnyPlatformPolicy::LambdaLike(_)) => {}
-                (PlatformKind::AzureLike, AnyPlatformPolicy::AzureLike(_)) => {}
+                (PlatformKind::CloudRun, PlatformPolicy::CloudRun(_)) => {}
+                (PlatformKind::LambdaLike, PlatformPolicy::LambdaLike(_)) => {}
+                (PlatformKind::AzureLike, PlatformPolicy::AzureLike(_)) => {}
                 _ => panic!("{kind} built the wrong policy: {p:?}"),
             }
         }

@@ -32,7 +32,7 @@ use crate::error::{GuestError, LaunchError};
 use crate::instances::InstanceRegistry;
 use crate::occupancy::Occupancy;
 use crate::placement::PlacementPlan;
-use crate::platform::{AnyPlatformPolicy, PlatformPolicy};
+use crate::platform::PlatformPolicy;
 
 /// Wall time one round of the RNG covert-channel test occupies. 60 rounds
 /// ≈ 100 ms, matching the paper's "optimistic 100 ms per test".
@@ -82,24 +82,23 @@ enum WorldEvent {
 
 /// One simulated region with its orchestrator.
 ///
-/// Generic over two trait axes. The placement [`Engine`] picks the
+/// Generic over the placement [`Engine`], which picks the
 /// sampling/capacity backends; the default is the production
 /// [`OptimizedEngine`], and the `eaao-oracle` crate instantiates the same
 /// `World` with its naive reference engine and asserts both trajectories
-/// are identical. The [`PlatformPolicy`] picks the scheduler family; the
-/// default [`AnyPlatformPolicy`] dispatches on
-/// [`RegionConfig::platform`], so the paper's Cloud Run policy, the
+/// are identical. The [`PlatformPolicy`] enum picks the scheduler family
+/// [`RegionConfig::platform`] names, so the paper's Cloud Run policy, the
 /// Lambda-like partitioned bin-packer, and the Azure-like reuse-biased
 /// scheduler all run through one `World` type (see [`crate::platform`]).
 #[derive(Debug)]
-pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatformPolicy<E>> {
+pub struct World<E: Engine = OptimizedEngine> {
     region: RegionConfig,
     /// The simulation time; moved only by [`World::run_until`].
     now: SimTime,
     dc: DataCenter,
     /// How many live instances run on each host.
     occupancy: Occupancy,
-    policy: P,
+    policy: PlatformPolicy<E>,
     /// Free-capacity index mirroring `occupancy`; maintained on every
     /// instance create/terminate and host reboot.
     capacity: E::Capacity,
@@ -132,7 +131,7 @@ pub struct World<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatform
 // the index lanes are copy-on-write, and everything else (time,
 // residency, instances, event queue, RNG position) is copied so the two
 // worlds replay independently but identically from the fork point.
-impl<E: Engine, P: PlatformPolicy<E>> Clone for World<E, P> {
+impl<E: Engine> Clone for World<E> {
     fn clone(&self) -> Self {
         World {
             region: self.region.clone(),
@@ -171,12 +170,12 @@ impl<E: Engine, P: PlatformPolicy<E>> Clone for World<E, P> {
 ///
 /// [`branch`]: WorldSnapshot::branch
 #[derive(Debug)]
-pub struct WorldSnapshot<E: Engine = OptimizedEngine, P: PlatformPolicy<E> = AnyPlatformPolicy<E>> {
-    frozen: World<E, P>,
+pub struct WorldSnapshot<E: Engine = OptimizedEngine> {
+    frozen: World<E>,
 }
 
 // Manual impl: `derive(Clone)` would demand `E: Clone`.
-impl<E: Engine, P: PlatformPolicy<E>> Clone for WorldSnapshot<E, P> {
+impl<E: Engine> Clone for WorldSnapshot<E> {
     fn clone(&self) -> Self {
         WorldSnapshot {
             frozen: self.frozen.clone(),
@@ -184,14 +183,14 @@ impl<E: Engine, P: PlatformPolicy<E>> Clone for WorldSnapshot<E, P> {
     }
 }
 
-impl<E: Engine, P: PlatformPolicy<E>> WorldSnapshot<E, P> {
+impl<E: Engine> WorldSnapshot<E> {
     /// The simulation time the snapshot was taken at.
     pub fn taken_at(&self) -> SimTime {
         self.frozen.now()
     }
 
     /// Forks a fresh mutable world resuming from the captured state.
-    pub fn branch(&self) -> World<E, P> {
+    pub fn branch(&self) -> World<E> {
         self.frozen.clone()
     }
 }
@@ -204,14 +203,11 @@ impl World {
     }
 }
 
-impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
-    /// Builds a world for `region` on engine `E` and policy `P`,
-    /// deterministic under `seed`. Two worlds built from the same
-    /// `(region, seed)` on different engines consume identical RNG
-    /// streams and must follow identical trajectories (the
-    /// differential-oracle contract). Note that an explicitly chosen `P`
-    /// wins over [`RegionConfig::platform`] — only the default
-    /// [`AnyPlatformPolicy`] consults that field.
+impl<E: Engine> World<E> {
+    /// Builds a world for `region` on engine `E`, deterministic under
+    /// `seed`. Two worlds built from the same `(region, seed)` on
+    /// different engines consume identical RNG streams and must follow
+    /// identical trajectories (the differential-oracle contract).
     // tidy:allow(panic-reachability) -- the eager-build block indexes `cells` (allocated with `cell_count` entries) by `host_cells` values, which are reduced modulo the cell count by every policy.
     pub fn with_engine(region: RegionConfig, seed: u64) -> Self {
         let mut build_span = obs::span("world.build");
@@ -226,7 +222,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
             region.popularity_exponent,
             &mut dc_rng,
         );
-        let policy = P::build(&dc, &region, rng.fork_labeled("policy"));
+        let policy = PlatformPolicy::build(&dc, &region, rng.fork_labeled("policy"));
         if E::EAGER_BUILD {
             // The oracle baseline: materialize every scheduling cell up
             // front, in ascending cell order (hosts ascending within a
@@ -581,9 +577,8 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         // Gradual termination: preserved through the grace period, then
         // reaped at a uniformly random point across the spread, capped by
         // the platform's idle contract (15 minutes on Cloud Run; the
-        // Azure-like policy stretches all three via its keep-alive hook —
-        // same single RNG draw either way, so CloudRun trajectories stay
-        // byte-identical across the PlatformPolicy refactor).
+        // Azure-like policy stretches all three via its keep-alive —
+        // same single RNG draw either way).
         let ka = self.policy.keep_alive(&self.region.placement);
         let extra = SimDuration::from_secs_f64(
             self.rng
@@ -1118,20 +1113,6 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
         self.capacity.total_free(&self.occupancy)
     }
 
-    /// Free instance slots in one scheduling cell.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `cell >= scheduling_cell_count()`.
-    pub fn free_slots_in_cell(&self, cell: usize) -> u64 {
-        self.capacity.cell_free(cell, &self.occupancy)
-    }
-
-    /// Number of scheduling cells in the region.
-    pub fn scheduling_cell_count(&self) -> usize {
-        self.capacity.cell_count()
-    }
-
     /// Total billed cost so far, including active periods that are still
     /// open (accrued but not yet settled by a disconnect or termination).
     pub fn billed(&self) -> Cost {
@@ -1177,7 +1158,7 @@ impl<E: Engine, P: PlatformPolicy<E>> World<E, P> {
     /// pool-sized index lanes share an `Arc` until one side writes.
     /// The snapshot can be [`branch`](WorldSnapshot::branch)ed any
     /// number of times; every branch replays from this exact state.
-    pub fn snapshot(&self) -> WorldSnapshot<E, P> {
+    pub fn snapshot(&self) -> WorldSnapshot<E> {
         obs::count("world.snapshots", 1);
         WorldSnapshot {
             frozen: self.clone(),

@@ -9,8 +9,8 @@
 //! * [`proto`] — the dependency-free wire protocol: length-prefixed
 //!   JSON frames, version handshake, typed rejection/backpressure
 //!   frames, and a symmetric codec used by both sides.
-//! * [`server`] — the daemon: bounded admission, a shared work-stealing
-//!   executor multiplexing every campaign's runs, per-client bounded
+//! * [`server`] — the daemon: bounded admission, a shared executor
+//!   multiplexing every campaign's runs, per-client bounded
 //!   outbound queues with slow-consumer handling, a plaintext metrics
 //!   scrape endpoint, and graceful drain-on-shutdown.
 //! * [`client`] — the client library behind `eaao submit` /

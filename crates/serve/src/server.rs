@@ -3,9 +3,9 @@
 //! [`Server::start`] binds the protocol listener (and optionally a
 //! metrics scrape listener), spawns one thread per accepted connection
 //! plus a small fixed set of dispatcher threads, and multiplexes every
-//! admitted campaign's runs over **one** shared work-stealing
-//! [`Executor`] — so N concurrent submissions share the same worker
-//! budget instead of multiplying it.
+//! admitted campaign's runs over **one** shared [`Executor`] — so N
+//! concurrent submissions share the same worker budget instead of
+//! multiplying it.
 //!
 //! # Life of a submission
 //!

@@ -18,7 +18,7 @@
 //!   co-location verification, launch strategies, and the per-figure
 //!   experiment drivers.
 //! * [`campaign`] — the batch campaign engine: declarative experiment
-//!   grids run on a work-stealing pool, streamed to resumable JSONL with
+//!   grids run on a resident worker pool, streamed to resumable JSONL with
 //!   seeds derived so results are identical at any parallelism.
 //! * [`serve`] — the streaming campaign service: a daemon multiplexing
 //!   concurrent client submissions over one shared executor, speaking a

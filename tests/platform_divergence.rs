@@ -1,8 +1,7 @@
 //! Platform-policy divergence: one fixed schedule must produce
 //! observably different trajectories under the three placement families
-//! (`docs/PLATFORMS.md`), while the CloudRun trait path stays
-//! indistinguishable from the default world (the byte-identity half of
-//! the contract, pinned in full by the `eaao-oracle` suite).
+//! (`docs/PLATFORMS.md`). The CloudRun trajectories' byte-identity is
+//! pinned by the `eaao-oracle` suite.
 
 use std::collections::BTreeSet;
 
@@ -154,37 +153,4 @@ fn reuse_rate_orders_azure_above_cloudrun() {
         azure > 0.9,
         "6 minutes idle is inside Azure's 7-minute grace"
     );
-}
-
-/// The explicit-`CloudRunPolicy` world and the default
-/// (`AnyPlatformPolicy`-dispatched) world follow byte-identical
-/// trajectories — the trait axis costs nothing on the paper's platform.
-#[test]
-fn cloudrun_trait_path_matches_the_default_world() {
-    let trajectory =
-        |world: &mut World<OptimizedEngine, CloudRunPolicy<OptimizedEngine>>| run_schedule(world);
-    let mut explicit: World<OptimizedEngine, CloudRunPolicy<OptimizedEngine>> =
-        World::with_engine(RegionConfig::us_west1(), 42);
-    let mut default_world = World::new(RegionConfig::us_west1(), 42);
-    assert_eq!(trajectory(&mut explicit), run_schedule(&mut default_world));
-}
-
-/// A small launch → idle → relaunch schedule, reduced to the observable
-/// trajectory: every instance's host plus the warm-reuse split.
-fn run_schedule<E: Engine, P>(world: &mut World<E, P>) -> (Vec<u32>, usize, usize)
-where
-    P: eaao::orchestrator::platform::PlatformPolicy<E>,
-{
-    let account = world.create_account();
-    let service = world.deploy_service(account, ServiceSpec::default().with_max_instances(1_000));
-    world.launch(service, 150).expect("fits");
-    world.disconnect_all(service);
-    world.advance(SimDuration::from_mins(5));
-    let relaunch = world.launch(service, 150).expect("fits");
-    let hosts = relaunch
-        .instances()
-        .iter()
-        .map(|&i| world.host_of(i).as_raw())
-        .collect();
-    (hosts, relaunch.reused(), world.alive_count(service))
 }
