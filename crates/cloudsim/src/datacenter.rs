@@ -28,7 +28,7 @@
 //! Because every shard is a pure function of the seed, generated shards are
 //! immutable and belong to the genesis, which every clone of the data
 //! center (see `World::branch`) shares: a shard is generated at most once
-//! per pool, by whichever branch touches it first. Nothing ever writes
+//! per pool, by whichever branch reads it first. Nothing ever writes
 //! through a shard. Residency is the orchestrator's occupancy index, and a
 //! maintenance reboot — the one change to a host's fingerprint state —
 //! lands in a small per-data-center overlay of rebooted hosts.
@@ -37,6 +37,9 @@
 //! [`DataCenter::materialized_hosts`] and the `cloudsim.hosts_generated`
 //! counter describe one world's history — the hosts it needed, counted as
 //! if it had generated them itself — whatever its sibling branches did.
+//! A touch need not generate: placing an instance only
+//! [`touches`](DataCenter::touch) its host, whose shard is generated when
+//! guest code first reads it.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -199,15 +202,22 @@ impl DataCenter {
         SHARD_SIZE.min(self.len() - index * SHARD_SIZE)
     }
 
-    /// The hosts of shard `index`, generated into the shared genesis on
-    /// the pool's first touch and recorded as touched by this data center.
-    // tidy:allow(panic-reachability) -- `index` comes from an id below `len`, and `shards`/`touched` were sized to cover the whole pool at construction.
-    fn shard(&self, index: usize) -> &[Host] {
+    /// Records shard `index` as touched by this data center; the first
+    /// touch counts its hosts in `cloudsim.hosts_generated`.
+    // tidy:allow(panic-reachability) -- `index` comes from an id below `len`, and `touched` was sized to cover the whole pool at construction.
+    fn mark_touched(&self, index: usize) {
         let (word, bit) = (&self.touched[index / 64], 1u64 << (index % 64));
         if word.get() & bit == 0 {
             word.set(word.get() | bit);
             eaao_obs::count("cloudsim.hosts_generated", self.shard_len(index) as u64);
         }
+    }
+
+    /// The hosts of shard `index`, generated into the shared genesis on
+    /// the pool's first read and recorded as touched by this data center.
+    // tidy:allow(panic-reachability) -- `index` comes from an id below `len`, and `shards` was sized to cover the whole pool at construction.
+    fn shard(&self, index: usize) -> &[Host] {
+        self.mark_touched(index);
         self.genesis.shards[index].get_or_init(|| {
             let lo = index * SHARD_SIZE;
             (lo..lo + self.shard_len(index))
@@ -242,6 +252,19 @@ impl DataCenter {
         }
         let i = id.as_usize();
         &self.shard(i / SHARD_SIZE)[i % SHARD_SIZE]
+    }
+
+    /// Records a touch of `id`'s shard, as [`DataCenter::host`] would,
+    /// without generating it: [`DataCenter::materialized_hosts`] and the
+    /// `cloudsim.hosts_generated` count move exactly as for `host`, and
+    /// the shard is generated on its first read. A shard is a pure
+    /// function of the seed, so that read sees the same hosts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn touch(&self, id: HostId) {
+        self.mark_touched(id.as_usize() / SHARD_SIZE);
     }
 
     /// Iterates all hosts in id order.
@@ -382,8 +405,9 @@ impl DataCenter {
         }
     }
 
-    /// Number of hosts this data center has materialized (touched shards,
-    /// whichever branch generated them).
+    /// Number of hosts this data center has materialized: its touched
+    /// shards, whichever branch generated them, or none yet (see
+    /// [`DataCenter::touch`]).
     pub fn materialized_hosts(&self) -> usize {
         (0..self.genesis.shards.len())
             .filter(|&index| {
@@ -463,6 +487,42 @@ mod tests {
         assert_eq!(b.materialized_hosts(), 2 * SHARD_SIZE);
         assert_eq!(a.materialized_hosts(), SHARD_SIZE);
         assert!(std::ptr::eq(a.host(far), b.host(far)));
+    }
+
+    /// The `cloudsim.hosts_generated` count `f` records.
+    fn hosts_generated(f: impl FnOnce()) -> u64 {
+        let collector = eaao_obs::Collector::new();
+        eaao_obs::with_instrument(Arc::clone(&collector), f);
+        let counters = collector.snapshot().counters;
+        counters
+            .get("cloudsim.hosts_generated")
+            .copied()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn a_touch_counts_like_a_read_and_the_later_read_is_unchanged() {
+        let id = HostId::from_raw(130);
+        let (read, touched, untouched) = (dc(15, 300), dc(15, 300), dc(15, 300));
+        let read_count = hosts_generated(|| {
+            let _ = read.host(id);
+        });
+        let touch_count = hosts_generated(|| {
+            touched.touch(id);
+            touched.touch(id);
+        });
+        assert_eq!(touch_count, read_count);
+        assert_eq!(touch_count, SHARD_SIZE as u64);
+        assert_eq!(touched.materialized_hosts(), read.materialized_hosts());
+        // The first read generates the shard and counts nothing more; it
+        // returns the host a data center that never touched it returns.
+        let later_count = hosts_generated(|| {
+            let (a, b) = (touched.host(id), untouched.host(id));
+            // `Host` has no `PartialEq`; its `Debug` prints every field.
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        });
+        // Only `untouched` counted its first touch.
+        assert_eq!(later_count, SHARD_SIZE as u64);
     }
 
     #[test]

@@ -95,6 +95,27 @@ impl IndexSampler for LinearSampler {
         }
         panic!("target {target} >= total {cum}");
     }
+
+    #[expect(
+        clippy::panic,
+        reason = "sampler contract: callers draw `target` below the unexcluded total; out-of-range is a caller bug, mirrored from wsample"
+    )]
+    fn locate_excluding(&self, target: u64, zeroed: &[usize], _removed: &[u64]) -> usize {
+        // Deliberately naive: one cumulative scan from the front that
+        // skips the excluded indices, ignoring the prefix sums.
+        let mut excluded = zeroed.iter().peekable();
+        let mut cum = 0u64;
+        for (i, &w) in self.weights.iter().enumerate() {
+            if excluded.next_if_eq(&&i).is_some() {
+                continue;
+            }
+            cum += w;
+            if target < cum {
+                return i;
+            }
+        }
+        panic!("target {target} >= unexcluded total {cum}");
+    }
 }
 
 /// Full-scan capacity lookups against the world's residency ground truth.
@@ -228,7 +249,7 @@ mod tests {
     use super::*;
     use eaao_cloudsim::host::HostGenConfig;
     use eaao_orchestrator::engine::IncrementalCapacity;
-    use eaao_simcore::wsample::FenwickSampler;
+    use eaao_simcore::wsample::{sample_distinct, sample_distinct_excluding, FenwickSampler};
 
     fn small_dc(seed: u64, hosts: usize, capacity: usize) -> DataCenter {
         let mut rng = SimRng::seed_from(seed);
@@ -255,6 +276,31 @@ mod tests {
             let w = rng.below(1_000);
             lin.set_weight(i, w);
             fen.set_weight(i, w);
+        }
+    }
+
+    #[test]
+    fn linear_excluding_scan_matches_zeroing_draws() {
+        let mut gen = SimRng::seed_from(29);
+        for round in 0..200 {
+            let n = 1 + gen.below(300) as usize;
+            let weights: Vec<u64> = (0..n)
+                .map(|_| gen.below(4).min(1) * gen.below(1_000))
+                .collect();
+            let exclude: Vec<usize> = (0..gen.below(n as u64 / 2 + 1))
+                .map(|_| gen.below(n as u64) as usize)
+                .collect();
+            let count = gen.below(n as u64 + 3) as usize;
+            let shared = LinearSampler::from_weights(weights);
+            let mut zeroing = shared.clone();
+            for &i in &exclude {
+                zeroing.set_weight(i, 0);
+            }
+            let (mut rng_a, mut rng_b) = (SimRng::seed_from(round), SimRng::seed_from(round));
+            let expected = sample_distinct(&mut zeroing, count, &mut rng_a);
+            let picks = sample_distinct_excluding(&shared, count, &exclude, &mut rng_b);
+            assert_eq!(picks, expected, "round {round}");
+            assert_eq!(rng_a.below(1 << 20), rng_b.below(1 << 20), "round {round}");
         }
     }
 

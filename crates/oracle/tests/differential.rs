@@ -6,14 +6,22 @@
 //! exact billing/free-slot accounting). A failure is first minimized with
 //! the greedy shrinker and the *minimized* schedule is printed as JSON —
 //! paste it into a corpus file or `replay` it per `docs/TESTING.md`.
+//! Schedules build Cloud Run regions only; the last test drives the
+//! Lambda-like and Azure-like platforms through both engines.
 
 use proptest::prelude::*;
 
+use eaao_cloudsim::ids::ServiceId;
+use eaao_cloudsim::service::ServiceSpec;
 use eaao_oracle::minimize::minimize;
-use eaao_oracle::schedule::{check, run, Schedule, Session, Trajectory};
+use eaao_oracle::schedule::{apply, check, run, Op, Schedule, Session, Trajectory};
 use eaao_oracle::strategies;
 use eaao_oracle::ReferenceEngine;
-use eaao_orchestrator::engine::OptimizedEngine;
+use eaao_orchestrator::config::RegionConfig;
+use eaao_orchestrator::engine::{Engine, OptimizedEngine};
+use eaao_orchestrator::platform::PlatformKind;
+use eaao_orchestrator::world::World;
+use eaao_simcore::rng::SimRng;
 
 /// Runs a schedule on the optimized engine with every shard force-
 /// materialized at build — the lazy path's own eager twin. Unlike the
@@ -140,5 +148,61 @@ proptest! {
         let lazy = run::<OptimizedEngine>(&s);
         let eager = run_prematerialized(&s);
         prop_assert_eq!(lazy.transcript(), eager.transcript());
+    }
+}
+
+/// One line per op of a fixed session on a 60-host us-west1 region under
+/// `platform`: four services, one account each, and 24 rounds of a
+/// launch, a 40 s advance, and a disconnect-all or kill-all, drawn from
+/// `seed`.
+fn platform_transcript<E: Engine>(platform: PlatformKind, seed: u64) -> Vec<String> {
+    let region = RegionConfig::us_west1()
+        .with_hosts(60)
+        .with_platform(platform);
+    let mut world: World<E> = World::with_engine(region, seed);
+    let services: Vec<ServiceId> = (0..4)
+        .map(|_| {
+            let account = world.create_account();
+            world.deploy_service(account, ServiceSpec::default().with_max_instances(1_000))
+        })
+        .collect();
+    let mut draws = SimRng::seed_from(seed);
+    let mut lines = Vec::new();
+    for _ in 0..24 {
+        let launch = Op::Launch {
+            service: draws.below(4) as usize,
+            count: 1 + draws.below(400) as usize,
+        };
+        let service = draws.below(4) as usize;
+        let close = if draws.below(2) == 0 {
+            Op::DisconnectAll { service }
+        } else {
+            Op::KillAll { service }
+        };
+        for op in [launch, Op::Advance { seconds: 40 }, close] {
+            let (outcome, placements) = apply(&mut world, &services, op);
+            lines.push(format!(
+                "{outcome} {placements:?} free={}",
+                world.free_slots()
+            ));
+        }
+    }
+    lines
+}
+
+/// The Lambda-like and Azure-like policies place identically on both
+/// engines. Every fresh host either one takes is an exclusion-aware
+/// draw: outside every claimed host (Lambda-like) or outside the
+/// service's affinity hosts (Azure-like).
+#[test]
+fn non_cloudrun_platforms_place_identically_across_engines() {
+    for platform in [PlatformKind::LambdaLike, PlatformKind::AzureLike] {
+        for seed in 0..8 {
+            assert_eq!(
+                platform_transcript::<OptimizedEngine>(platform, seed),
+                platform_transcript::<ReferenceEngine>(platform, seed),
+                "{platform:?}, seed {seed}"
+            );
+        }
     }
 }

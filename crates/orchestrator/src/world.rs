@@ -446,11 +446,12 @@ impl<E: Engine> World<E> {
             let id = self.instances.next_id();
             self.occupancy.admit(host);
             self.capacity.on_admit(host, &self.occupancy);
-            // Nothing reads the host here, but touching it keeps this
-            // world's shard touch record, and so the
+            // Nothing reads the host here, but touching its shard keeps
+            // this world's touch record, and so the
             // `cloudsim.hosts_generated` count campaign records carry,
-            // independent of which instances ever run guest code.
-            self.dc.host(host);
+            // independent of which instances ever run guest code. The
+            // shard itself is generated on its first read.
+            self.dc.touch(host);
             let clock_seed = Sandbox::fork_clock_seed(spec.generation, &mut self.rng);
             self.instances.push(ContainerInstance::new(
                 id,

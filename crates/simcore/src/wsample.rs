@@ -14,13 +14,21 @@
 //!    is the unique `i` with `prefix(i) <= target < prefix(i + 1)`, where
 //!    `prefix(i)` is the sum of the first `i` weights.
 //!
+//! 3. An exclusion-aware pick
+//!    ([`locate_excluding`](IndexSampler::locate_excluding)) returns what
+//!    `locate` would if the excluded indices weighed zero, without writing
+//!    to the sampler: [`sample_distinct_excluding`] draws its target below
+//!    the unexcluded total and hands the sorted exclusion list, with its
+//!    prefix sums of weight, to the sampler.
+//!
 //! Any two [`IndexSampler`] implementations holding the same weights
 //! therefore return the same index for the same RNG state — the property
 //! the differential oracle in `crates/oracle` checks. [`FenwickSampler`]
 //! is the production backend: O(log n) pick and update via a Fenwick
 //! (binary indexed) tree, standing in for the precomputed table a real
-//! scheduler would keep. The O(n)-per-pick linear reference lives in the
-//! oracle crate.
+//! scheduler would keep; its exclusion-aware pick is one descent that
+//! subtracts, at each visited node, the excluded weight the node covers.
+//! The O(n)-per-pick linear reference lives in the oracle crate.
 
 use std::sync::Arc;
 
@@ -99,6 +107,22 @@ pub trait IndexSampler: std::fmt::Debug {
     /// callers must draw `target` with `rng.below(total)`.
     fn locate(&self, target: u64) -> usize;
 
+    /// What [`locate`](IndexSampler::locate) would return for `target`
+    /// if every index of `zeroed` weighed zero, without writing to the
+    /// sampler.
+    ///
+    /// `zeroed` is ascending and deduplicated, every index in range;
+    /// `removed` holds its prefix sums of weight, `zeroed.len() + 1`
+    /// entries: `removed[k]` is the current weight of `zeroed[..k]`, so
+    /// `removed[zeroed.len()]` is the whole excluded weight. The answer
+    /// never is an excluded or zero-weight index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is not below the unexcluded total,
+    /// `total() - removed[zeroed.len()]`.
+    fn locate_excluding(&self, target: u64, zeroed: &[usize], removed: &[u64]) -> usize;
+
     /// One weighted pick: a single `rng.below(total)` draw mapped through
     /// [`locate`](IndexSampler::locate). `None` when every weight is zero
     /// (consuming no randomness).
@@ -139,7 +163,8 @@ pub fn sample_distinct<S: IndexSampler>(
 /// Samples up to `count` distinct indices exactly as [`sample_distinct`]
 /// would after zeroing the weights of `exclude` — the same picks from the
 /// same `rng.below(total)` draws — but without writing to the sampler:
-/// excluded and already-picked weights are subtracted on the fly. A
+/// excluded and already-picked indices are kept in one sorted list, and
+/// each pick is one [`IndexSampler::locate_excluding`] against it. A
 /// sampler shared copy-on-write (with branches, or with a pool's genesis
 /// lanes) therefore stays shared.
 ///
@@ -164,7 +189,7 @@ pub fn sample_distinct_excluding<S: IndexSampler>(
     let mut total = sampler.total() - removed[zeroed.len()];
     let mut picks = Vec::with_capacity(count.min(sampler.len()));
     while picks.len() < count && total > 0 {
-        let pick = locate_excluding(sampler, &zeroed, &removed, rng.below(total));
+        let pick = sampler.locate_excluding(rng.below(total), &zeroed, &removed);
         let at = zeroed.partition_point(|&z| z < pick);
         let weight = sampler.weight(pick);
         zeroed.insert(at, pick);
@@ -176,34 +201,6 @@ pub fn sample_distinct_excluding<S: IndexSampler>(
         picks.push(pick);
     }
     picks
-}
-
-/// What [`IndexSampler::locate`] would return for `target` if every index
-/// of `zeroed` (ascending, deduplicated) weighed zero, `removed` being its
-/// prefix sums of weight.
-///
-/// Between `zeroed[k - 1]` and `zeroed[k]` the zeroed prefix removes
-/// `removed[k]` weight, so an index there is `locate(target + removed[k])`
-/// if that lands inside the gap. The first gap whose shifted locate stays
-/// below its upper end is the answer (the last gap is unbounded), and
-/// that predicate is monotone in `k`, so a binary search finds it.
-// tidy:allow(panic-reachability) -- `mid` and `lo` stay below `removed.len() = zeroed.len() + 1`, and `mid < zeroed.len()` inside the loop; every shifted target stays below the sampler's total because it is at most `target + Σ zeroed weight` with `target` drawn below the remainder.
-fn locate_excluding<S: IndexSampler>(
-    sampler: &S,
-    zeroed: &[usize],
-    removed: &[u64],
-    target: u64,
-) -> usize {
-    let (mut lo, mut hi) = (0, zeroed.len());
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if sampler.locate(target + removed[mid]) < zeroed[mid] {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    sampler.locate(target + removed[lo])
 }
 
 /// Builds the 1-indexed Fenwick (binary indexed) tree over `weights`:
@@ -371,6 +368,40 @@ impl IndexSampler for FenwickSampler {
         }
         pos
     }
+
+    // tidy:allow(panic-reachability) -- `tree[next]` is guarded by `next < self.tree.len()`; `below <= inside <= zeroed.len() < removed.len()` by the caller's contract, and the assert is the documented out-of-range panic.
+    fn locate_excluding(&self, target: u64, zeroed: &[usize], removed: &[u64]) -> usize {
+        let unexcluded = self.total - removed[zeroed.len()];
+        assert!(
+            target < unexcluded,
+            "target {target} >= unexcluded total {unexcluded}"
+        );
+        // The descent of `locate` over the weights net of the exclusion:
+        // the node at `next` covers indices `pos..next`, and the excluded
+        // indices inside it are `zeroed[below..inside]`, where `below`
+        // counts the excluded indices under `pos`.
+        let mut pos = 0usize;
+        let mut rem = target;
+        let mut below = 0usize;
+        let mut stride = self.top;
+        while stride > 0 {
+            let next = pos + stride;
+            if next < self.tree.len() {
+                let inside = match zeroed.get(below) {
+                    Some(&z) if z < next => below + zeroed[below..].partition_point(|&z| z < next),
+                    _ => below,
+                };
+                let net = self.tree[next] - (removed[inside] - removed[below]);
+                if net <= rem {
+                    rem -= net;
+                    pos = next;
+                    below = inside;
+                }
+            }
+            stride >>= 1;
+        }
+        pos
+    }
 }
 
 #[cfg(test)]
@@ -471,6 +502,32 @@ mod tests {
         assert_eq!(s.total(), 0);
     }
 
+    /// Excluding draws match the draws of a sampler zeroed by
+    /// `set_weight` over `exclude`: the same picks, and the same RNG state
+    /// after them.
+    fn assert_excluding_matches_zeroing(
+        weights: Vec<u64>,
+        exclude: &[usize],
+        count: usize,
+        seed: u64,
+    ) {
+        let shared = FenwickSampler::from_weights(weights);
+        let mut zeroing = shared.clone();
+        for &i in exclude {
+            zeroing.set_weight(i, 0);
+        }
+        let (mut rng_a, mut rng_b) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+        let expected = sample_distinct(&mut zeroing, count, &mut rng_a);
+        let picks = sample_distinct_excluding(&shared, count, exclude, &mut rng_b);
+        let n = shared.len();
+        assert_eq!(picks, expected, "seed {seed}, n {n}");
+        assert_eq!(
+            rng_a.below(1 << 20),
+            rng_b.below(1 << 20),
+            "seed {seed}, n {n}"
+        );
+    }
+
     #[test]
     fn excluding_draws_match_zeroing_draws_without_writing() {
         let mut gen = SimRng::seed_from(17);
@@ -481,17 +538,35 @@ mod tests {
                 .map(|_| gen.below(n as u64) as usize)
                 .collect();
             let count = gen.below(n as u64 + 2) as usize;
-            let shared = FenwickSampler::from_weights(weights.clone());
-            let mut zeroing = shared.clone();
-            for &i in &exclude {
-                zeroing.set_weight(i, 0);
-            }
-            let (mut rng_a, mut rng_b) = (SimRng::seed_from(round), SimRng::seed_from(round));
-            let expected = sample_distinct(&mut zeroing, count, &mut rng_a);
-            let picks = sample_distinct_excluding(&shared, count, &exclude, &mut rng_b);
-            assert_eq!(picks, expected, "round {round}");
-            assert_eq!(rng_a.below(1 << 20), rng_b.below(1 << 20), "round {round}");
+            assert_excluding_matches_zeroing(weights, &exclude, count, round);
         }
+    }
+
+    #[test]
+    fn excluding_draws_match_zeroing_draws_on_deep_trees() {
+        // Sizes at and beside powers of two put the last index at every
+        // depth of the descent; the random ones fill in between.
+        let edges = (4..=11).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]);
+        let mut gen = SimRng::seed_from(23);
+        let random: Vec<usize> = (0..36).map(|_| 1 + gen.below(3_000) as usize).collect();
+        for (round, n) in (1_000..).zip(edges.chain(random)) {
+            let weights: Vec<u64> = (0..n)
+                .map(|_| gen.below(4).min(1) * gen.below(1 << 30))
+                .collect();
+            let exclude: Vec<usize> = (0..gen.below(n as u64 / 2 + 1))
+                .map(|_| gen.below(n as u64) as usize)
+                .collect();
+            let count = gen.below(n as u64 + 3) as usize;
+            assert_excluding_matches_zeroing(weights, &exclude, count, round);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unexcluded total")]
+    fn locate_excluding_rejects_a_target_past_the_unexcluded_total() {
+        let s = FenwickSampler::from_weights(vec![3, 5, 7]);
+        // Excluding index 1 leaves a total of 10.
+        let _ = s.locate_excluding(10, &[1], &[0, 5]);
     }
 
     #[test]
