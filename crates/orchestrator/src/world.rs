@@ -8,8 +8,7 @@
 //! *measurement* hooks a simulation affords: true host residency, covert
 //! channel observations, and billing.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use eaao_cloudsim::account::{Account, Standing};
 use eaao_cloudsim::datacenter::DataCenter;
@@ -80,6 +79,90 @@ enum WorldEvent {
     RebootSweep,
 }
 
+/// One deployed service: its definition, its demand window and the ids
+/// of its live instances, kept sorted so that every lookup is a binary
+/// search and every bulk move is one pass over a vector.
+#[derive(Debug, Clone)]
+struct ServiceState {
+    service: Service,
+    demand: DemandWindow,
+    /// Active instances, ascending id.
+    active: Vec<InstanceId>,
+    /// Idle instances as `(idle since, id)`, ascending. Warm reuse reads
+    /// it newest instant first, ascending id within an instant
+    /// ([`ServiceState::take_warm`]).
+    idle: Vec<(SimTime, InstanceId)>,
+}
+
+impl ServiceState {
+    fn remove_active(&mut self, id: InstanceId) {
+        if let Ok(at) = self.active.binary_search(&id) {
+            self.active.remove(at);
+        }
+    }
+
+    fn insert_idle(&mut self, since: SimTime, id: InstanceId) {
+        let at = self.idle.partition_point(|&entry| entry < (since, id));
+        self.idle.insert(at, (since, id));
+    }
+
+    fn remove_idle(&mut self, since: SimTime, id: InstanceId) {
+        if let Ok(at) = self.idle.binary_search(&(since, id)) {
+            self.idle.remove(at);
+        }
+    }
+
+    /// Removes up to `count` idle instances in warm-reuse order, most
+    /// recently idled first (they are the least likely to be reaped) and
+    /// ascending id within an instant, and returns them in that order.
+    /// Whole instants leave from the back of the vector; a partly reused
+    /// instant keeps its highest ids.
+    fn take_warm(&mut self, count: usize) -> Vec<InstanceId> {
+        let mut warm = Vec::with_capacity(count.min(self.idle.len()));
+        let mut end = self.idle.len();
+        while warm.len() < count {
+            let Some(&(instant, _)) = end.checked_sub(1).and_then(|last| self.idle.get(last))
+            else {
+                break;
+            };
+            let start = self.idle.partition_point(|&(since, _)| since < instant);
+            let take = (count - warm.len()).min(end - start);
+            warm.extend(self.idle.iter().skip(start).take(take).map(|&(_, id)| id));
+            if start + take < end {
+                self.idle.truncate(end);
+                self.idle.drain(start..start + take);
+                return warm;
+            }
+            end = start;
+        }
+        self.idle.truncate(end);
+        warm
+    }
+}
+
+/// Merges the ascending `new` into the ascending `into` in one pass.
+/// Entries past the end of `into`, the common case, are appended.
+fn merge_ascending<T: Copy + Ord>(into: &mut Vec<T>, new: &[T]) {
+    let Some(&first) = new.first() else {
+        return;
+    };
+    let start = into.partition_point(|&x| x < first);
+    let tail = into.split_off(start);
+    into.reserve(tail.len() + new.len());
+    let (mut old, mut fresh) = (tail.iter().peekable(), new.iter().peekable());
+    while let (Some(&&a), Some(&&b)) = (old.peek(), fresh.peek()) {
+        if a < b {
+            into.push(a);
+            old.next();
+        } else {
+            into.push(b);
+            fresh.next();
+        }
+    }
+    into.extend(old);
+    into.extend(fresh);
+}
+
 /// One simulated region with its orchestrator.
 ///
 /// Generic over the placement [`Engine`], which picks the
@@ -102,23 +185,18 @@ pub struct World<E: Engine = OptimizedEngine> {
     /// Free-capacity index mirroring `occupancy`; maintained on every
     /// instance create/terminate and host reboot.
     capacity: E::Capacity,
-    accounts: BTreeMap<AccountId, Account>,
-    services: BTreeMap<ServiceId, Service>,
-    demand: BTreeMap<ServiceId, DemandWindow>,
+    /// Every account, indexed by id. The next account takes the next id.
+    accounts: Vec<Account>,
+    /// Every deployed service with its live instances, indexed by id.
+    /// The next service takes the next id.
+    services: Vec<ServiceState>,
     /// Every instance ever created, terminated ones included, indexed by
     /// id; whole-fleet iteration (billing sums) runs in ascending id
     /// order. The next instance takes the next id.
     instances: InstanceRegistry,
-    /// Idle instances per service, most recently idled first (ties broken
-    /// by ascending id) — the warm-reuse order of `launch`.
-    idle_index: BTreeMap<ServiceId, BTreeSet<(Reverse<SimTime>, InstanceId)>>,
-    /// Active instances per service, ascending id.
-    active_index: BTreeMap<ServiceId, BTreeSet<InstanceId>>,
     events: EventQueue<WorldEvent>,
     billing: BillingMeter,
     rng: SimRng,
-    next_account: u32,
-    next_service: u32,
     instance_churn: bool,
     host_churn_mean: Option<SimDuration>,
 }
@@ -142,15 +220,10 @@ impl<E: Engine> Clone for World<E> {
             capacity: self.capacity.clone(),
             accounts: self.accounts.clone(),
             services: self.services.clone(),
-            demand: self.demand.clone(),
             instances: self.instances.clone(),
-            idle_index: self.idle_index.clone(),
-            active_index: self.active_index.clone(),
             events: self.events.clone(),
             billing: self.billing,
             rng: self.rng.clone(),
-            next_account: self.next_account,
-            next_service: self.next_service,
             instance_churn: self.instance_churn,
             host_churn_mean: self.host_churn_mean,
         }
@@ -251,17 +324,12 @@ impl<E: Engine> World<E> {
             occupancy: Occupancy::default(),
             policy,
             capacity,
-            accounts: BTreeMap::new(),
-            services: BTreeMap::new(),
-            demand: BTreeMap::new(),
+            accounts: Vec::new(),
+            services: Vec::new(),
             instances: InstanceRegistry::default(),
-            idle_index: BTreeMap::new(),
-            active_index: BTreeMap::new(),
             events: EventQueue::new(),
             billing,
             rng,
-            next_account: 0,
-            next_service: 0,
             instance_churn: false,
             host_churn_mean: None,
             region,
@@ -284,9 +352,9 @@ impl<E: Engine> World<E> {
     }
 
     fn create_account_with_standing(&mut self, standing: Standing) -> AccountId {
-        let id = AccountId::from_raw(self.next_account);
-        self.next_account += 1;
-        self.accounts.insert(id, Account::new(id, standing));
+        let id =
+            AccountId::from_raw(u32::try_from(self.accounts.len()).expect("account ids are u32"));
+        self.accounts.push(Account::new(id, standing));
         id
     }
 
@@ -297,20 +365,20 @@ impl<E: Engine> World<E> {
     /// Panics if the account does not exist.
     pub fn deploy_service(&mut self, account: AccountId, spec: ServiceSpec) -> ServiceId {
         assert!(
-            self.accounts.contains_key(&account),
+            account.as_usize() < self.accounts.len(),
             "unknown account {account}"
         );
-        let id = ServiceId::from_raw(self.next_service);
-        self.next_service += 1;
-        self.services
-            .insert(id, Service::new(id, account, spec, self.now));
-        self.demand.insert(
-            id,
-            DemandWindow::new(
+        let id =
+            ServiceId::from_raw(u32::try_from(self.services.len()).expect("service ids are u32"));
+        self.services.push(ServiceState {
+            service: Service::new(id, account, spec, self.now),
+            demand: DemandWindow::new(
                 self.region.placement.demand_window,
                 self.region.placement.hot_launch_threshold,
             ),
-        );
+            active: Vec::new(),
+            idle: Vec::new(),
+        });
         id
     }
 
@@ -322,8 +390,9 @@ impl<E: Engine> World<E> {
     pub fn rebuild_image(&mut self, service: ServiceId) {
         let now = self.now;
         self.services
-            .get_mut(&service)
+            .get_mut(service.as_usize())
             .expect("unknown service")
+            .service
             .rebuild_image(now);
     }
 
@@ -334,24 +403,28 @@ impl<E: Engine> World<E> {
     ///
     /// Returns a [`LaunchError`] if the request exceeds the service cap or
     /// the account quota, or if the data center cannot place all instances.
-    // tidy:allow(panic-reachability) -- `owner` comes from a registered service, and every service owner has an account entry by construction (`deploy_service`).
     pub fn launch(&mut self, service: ServiceId, count: usize) -> Result<Launch, LaunchError> {
         let mut launch_span = obs::span("world.launch");
         launch_span.u64_field("requested", count as u64);
         let now = self.now;
-        let svc = self
+        let state = self
             .services
-            .get(&service)
+            .get_mut(service.as_usize())
             .ok_or(LaunchError::UnknownService(service))?;
-        let spec = svc.spec();
-        let owner = svc.owner();
+        let spec = state.service.spec();
+        let owner = state.service.owner();
         if count > spec.max_instances {
             return Err(LaunchError::ExceedsServiceCap {
                 requested: count,
                 cap: spec.max_instances,
             });
         }
-        let quota = self.accounts[&owner].quota().max_instances_per_service;
+        let quota = self
+            .accounts
+            .get(owner.as_usize())
+            .expect("service owners have accounts")
+            .quota()
+            .max_instances_per_service;
         if count > quota {
             return Err(LaunchError::ExceedsAccountQuota {
                 requested: count,
@@ -359,28 +432,25 @@ impl<E: Engine> World<E> {
             });
         }
 
-        // Reuse warm idle instances first (most recently idled first, they
-        // are the least likely to be reaped; the idle index keeps them
-        // pre-sorted, with same-instant ties broken by ascending id).
-        let warm: Vec<InstanceId> = self
-            .idle_index
-            .get(&service)
-            .map(|set| set.iter().take(count).map(|&(_, id)| id).collect())
-            .unwrap_or_default();
+        // Reuse warm idle instances first, then merge them into the
+        // active ids in one pass.
+        let warm = state.take_warm(count);
         for &id in &warm {
-            self.reactivate_instance(id, now);
+            self.instances
+                .get_mut(id)
+                .expect("warm instance exists")
+                .reactivate(now);
         }
+        let mut reactivated = warm.clone();
+        reactivated.sort_unstable();
+        merge_ascending(&mut state.active, &reactivated);
         let reused = warm.len();
         let need_new = count - reused;
 
         // Plan placement for the remainder. Hotness is evaluated *before*
         // recording this launch, so a cold service's first launch stays on
         // base hosts.
-        let pressure = self
-            .demand
-            .get_mut(&service)
-            .expect("demand window exists")
-            .pressure(now);
+        let pressure = state.demand.pressure(now);
         let plan = self.policy.plan(
             &self.occupancy,
             &mut self.capacity,
@@ -400,10 +470,7 @@ impl<E: Engine> World<E> {
                 requested: need_new,
             });
         }
-        self.demand
-            .get_mut(&service)
-            .expect("demand window exists")
-            .record_launch(now, count);
+        state.demand.record_launch(now, count);
 
         let mut instances = warm;
         instances.extend(self.create_instances(service, owner, &plan, spec, now));
@@ -414,19 +481,6 @@ impl<E: Engine> World<E> {
         obs::count("orchestrator.instances_created", need_new as u64);
         obs::observe("orchestrator.launch_size", count as u64);
         Ok(Launch { instances, reused })
-    }
-
-    /// Reactivates a warm idle instance (idle index → active index).
-    fn reactivate_instance(&mut self, id: InstanceId, now: SimTime) {
-        let instance = self.instances.get_mut(id).expect("warm instance exists");
-        let service = instance.service();
-        let idle_since = instance.idle_since().expect("idle instance");
-        instance.reactivate(now);
-        self.idle_index
-            .get_mut(&service)
-            .expect("idle index entry exists")
-            .remove(&(Reverse(idle_since), id));
-        self.active_index.entry(service).or_default().insert(id);
     }
 
     /// Creates one instance per plan entry — the batched path. Each
@@ -465,13 +519,8 @@ impl<E: Engine> World<E> {
             ));
             ids.push(id);
         }
-        let active = self.active_index.entry(service).or_default();
-        if active.is_empty() {
-            // Fresh ids ascend, so the set is built in one pass.
-            *active = ids.iter().copied().collect();
-        } else {
-            active.extend(ids.iter().copied());
-        }
+        // Fresh ids exceed every id handed out before them.
+        self.service_mut(service).active.extend_from_slice(&ids);
         if self.instance_churn {
             let mean = self.region.placement.instance_restart_mean.as_secs_f64();
             let restarts: Vec<(SimTime, WorldEvent)> = ids
@@ -504,30 +553,24 @@ impl<E: Engine> World<E> {
         service: ServiceId,
         demand: usize,
     ) -> Result<Vec<InstanceId>, LaunchError> {
-        let spec = self
+        let state = self
             .services
-            .get(&service)
-            .ok_or(LaunchError::UnknownService(service))?
-            .spec();
-        let mut active: Vec<InstanceId> = self
-            .active_index
-            .get(&service)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default();
-        match decide(active.len(), demand, spec.max_instances) {
+            .get(service.as_usize())
+            .ok_or(LaunchError::UnknownService(service))?;
+        match decide(
+            state.active.len(),
+            demand,
+            state.service.spec().max_instances,
+        ) {
             ScaleAction::Hold => {
                 obs::count("autoscaler.hold", 1);
-                Ok(active)
             }
             ScaleAction::Out(shortfall) => {
                 obs::count("autoscaler.scale_out", 1);
                 obs::observe("autoscaler.scale_out_size", shortfall as u64);
                 // `launch` implements the scale-out path for the shortfall:
                 // it reuses warm idle instances and places the remainder.
-                let launch = self.launch(service, shortfall)?;
-                active.extend_from_slice(launch.instances());
-                active.sort_unstable();
-                Ok(active)
+                self.launch(service, shortfall)?;
             }
             ScaleAction::In(surplus) => {
                 obs::count("autoscaler.scale_in", 1);
@@ -535,46 +578,60 @@ impl<E: Engine> World<E> {
                 let now = self.now;
                 // Newest instances drain first (they have the least warm
                 // state worth keeping).
-                let doomed: Vec<InstanceId> = active.iter().rev().take(surplus).copied().collect();
-                for id in &doomed {
-                    self.disconnect_instance(*id, now);
+                let doomed: Vec<InstanceId> =
+                    state.active.iter().rev().take(surplus).copied().collect();
+                for id in doomed {
+                    self.disconnect_instance(id, now);
                 }
-                active.retain(|id| !doomed.contains(id));
-                Ok(active)
             }
         }
+        let state = self
+            .services
+            .get(service.as_usize())
+            .expect("service exists");
+        Ok(state.active.clone())
     }
 
     /// Closes every connection of `service`: its active instances go idle
     /// and the reaper schedules their gradual termination (Figure 6).
     pub fn disconnect_all(&mut self, service: ServiceId) {
         let now = self.now;
-        // Ascending-id order from the active index: reap-jitter RNG draws
-        // happen in a deterministic order regardless of map layout.
-        let active: Vec<InstanceId> = self
-            .active_index
-            .get(&service)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default();
-        for id in active {
-            self.disconnect_instance(id, now);
+        let Some(state) = self.services.get_mut(service.as_usize()) else {
+            return;
+        };
+        let active = std::mem::take(&mut state.active);
+        if active.is_empty() {
+            return;
         }
+        // Ascending id order: the billing records and the reap-jitter RNG
+        // draws follow it.
+        for &id in &active {
+            self.idle_out(id, now);
+        }
+        let idled: Vec<(SimTime, InstanceId)> = active.iter().map(|&id| (now, id)).collect();
+        merge_ascending(&mut self.service_mut(service).idle, &idled);
+        // One gauge write for the whole service, as the last
+        // per-instance write would have left it.
+        self.note_spend();
     }
 
     fn disconnect_instance(&mut self, id: InstanceId, now: SimTime) {
+        let service = self.idle_out(id, now);
+        self.note_spend();
+        let state = self.service_mut(service);
+        state.remove_active(id);
+        state.insert_idle(now, id);
+    }
+
+    /// Idles an active instance: bills its active period and schedules
+    /// its reap, leaving the service's vectors and the spend gauge to the
+    /// caller. Returns its service.
+    fn idle_out(&mut self, id: InstanceId, now: SimTime) -> ServiceId {
         let instance = self.instances.get_mut(id).expect("instance exists");
         let service = instance.service();
         let period = instance.go_idle(now);
         let size = instance.size();
         self.billing.record(size, period);
-        self.note_spend();
-        if let Some(set) = self.active_index.get_mut(&service) {
-            set.remove(&id);
-        }
-        self.idle_index
-            .entry(service)
-            .or_default()
-            .insert((Reverse(now), id));
         // Gradual termination: preserved through the grace period, then
         // reaped at a uniformly random point across the spread, capped by
         // the platform's idle contract (15 minutes on Cloud Run; the
@@ -596,6 +653,13 @@ impl<E: Engine> World<E> {
                 idle_since: now,
             },
         );
+        service
+    }
+
+    fn service_mut(&mut self, service: ServiceId) -> &mut ServiceState {
+        self.services
+            .get_mut(service.as_usize())
+            .expect("service exists")
     }
 
     /// Advances simulated time by `d`, processing due events in order.
@@ -717,14 +781,17 @@ impl<E: Engine> World<E> {
         }
     }
 
-    /// The live instances on `host`, ascending by id: a scan of the
-    /// service indexes, O(live instances). Only a host reboot asks, which
-    /// is why residency keeps counts rather than lists.
+    /// The live instances on `host`, ascending by id: a scan of every
+    /// service's vectors, O(live instances). Only a host reboot asks,
+    /// which is why residency keeps counts rather than lists.
     fn live_on(&self, host: HostId) -> Vec<InstanceId> {
-        let active = self.active_index.values().flatten().copied();
-        let idle = self.idle_index.values().flatten().map(|&(_, id)| id);
-        let mut ids: Vec<InstanceId> = active
-            .chain(idle)
+        let mut ids: Vec<InstanceId> = self
+            .services
+            .iter()
+            .flat_map(|state| {
+                let idle = state.idle.iter().map(|&(_, id)| id);
+                state.active.iter().copied().chain(idle)
+            })
             .filter(|&id| {
                 let instance = self.instances.get(id).expect("indexed instances exist");
                 instance.host() == host
@@ -754,20 +821,13 @@ impl<E: Engine> World<E> {
         (service, idle_since)
     }
 
-    /// Drops a just-terminated instance from the service indexes.
+    /// Drops a just-terminated instance from its service's vectors.
     /// `idle_since` is `Some` iff it was idle at termination time.
     fn unindex(&mut self, service: ServiceId, id: InstanceId, idle_since: Option<SimTime>) {
+        let state = self.service_mut(service);
         match idle_since {
-            Some(t) => {
-                if let Some(set) = self.idle_index.get_mut(&service) {
-                    set.remove(&(Reverse(t), id));
-                }
-            }
-            None => {
-                if let Some(set) = self.active_index.get_mut(&service) {
-                    set.remove(&id);
-                }
-            }
+            Some(since) => state.remove_idle(since, id),
+            None => state.remove_active(id),
         }
     }
 
@@ -794,17 +854,14 @@ impl<E: Engine> World<E> {
     /// Terminates every live instance of `service` immediately (the
     /// attacker deleting a revision, used between strategy launches).
     pub fn kill_all(&mut self, service: ServiceId) {
-        // The service's index entries go at once, and its instances are
+        // The service's vectors empty at once, and its instances are
         // terminated in ascending-id order so bulk termination (and its
         // billing records) is deterministic.
-        let mut doomed: Vec<InstanceId> = self
-            .active_index
-            .remove(&service)
-            .map(|set| set.into_iter().collect())
-            .unwrap_or_default();
-        if let Some(idle) = self.idle_index.remove(&service) {
-            doomed.extend(idle.into_iter().map(|(_, id)| id));
-        }
+        let Some(state) = self.services.get_mut(service.as_usize()) else {
+            return;
+        };
+        let mut doomed = std::mem::take(&mut state.active);
+        doomed.extend(state.idle.drain(..).map(|(_, id)| id));
         doomed.sort_unstable();
         let mut billed = false;
         for id in doomed {
@@ -1090,22 +1147,20 @@ impl<E: Engine> World<E> {
 
     /// Live instances of a service.
     pub fn alive_instances_of(&self, service: ServiceId) -> Vec<InstanceId> {
-        let mut ids: Vec<InstanceId> = self
-            .active_index
-            .get(&service)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default();
-        if let Some(idle) = self.idle_index.get(&service) {
-            ids.extend(idle.iter().map(|&(_, id)| id));
-        }
+        let Some(state) = self.services.get(service.as_usize()) else {
+            return Vec::new();
+        };
+        let mut ids = state.active.clone();
+        ids.extend(state.idle.iter().map(|&(_, id)| id));
         ids.sort_unstable();
         ids
     }
 
     /// Number of live (active or idle) instances of a service.
     pub fn alive_count(&self, service: ServiceId) -> usize {
-        self.active_index.get(&service).map_or(0, BTreeSet::len)
-            + self.idle_index.get(&service).map_or(0, BTreeSet::len)
+        self.services
+            .get(service.as_usize())
+            .map_or(0, |state| state.active.len() + state.idle.len())
     }
 
     /// Total free instance slots across the region (from the incremental
@@ -1300,6 +1355,37 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "same instances reused");
+    }
+
+    #[test]
+    fn warm_reuse_takes_the_newest_instant_first_in_ascending_id_order() {
+        let (mut world, _, service) = small_world(26);
+        let ids = |range: std::ops::Range<u32>| -> Vec<InstanceId> {
+            range.map(InstanceId::from_raw).collect()
+        };
+        assert_eq!(world.set_load(service, 20).expect("fits"), ids(0..20));
+        world.advance(SimDuration::from_secs(10));
+        // Scale-in idles 19, 18, ..., 10 at one instant.
+        assert_eq!(world.set_load(service, 10).expect("fits"), ids(0..10));
+        world.advance(SimDuration::from_secs(10));
+        world.disconnect_all(service);
+        world.advance(SimDuration::from_secs(10));
+        let launch = world.launch(service, 15).expect("within caps");
+        assert_eq!(launch.reused(), 15);
+        assert_eq!(launch.instances(), [ids(0..10), ids(10..15)].concat());
+        // The partly reused instant kept its highest ids.
+        let rest = world.launch(service, 5).expect("within caps");
+        assert_eq!((rest.reused(), rest.instances()), (5, &ids(15..20)[..]));
+    }
+
+    #[test]
+    fn merge_ascending_interleaves_and_appends() {
+        let mut into = vec![1, 4, 6, 9];
+        merge_ascending(&mut into, &[0, 5, 7, 10, 11]);
+        assert_eq!(into, [0, 1, 4, 5, 6, 7, 9, 10, 11]);
+        merge_ascending(&mut into, &[]);
+        merge_ascending(&mut into, &[12, 13]);
+        assert_eq!(into, [0, 1, 4, 5, 6, 7, 9, 10, 11, 12, 13]);
     }
 
     #[test]

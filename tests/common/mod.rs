@@ -33,9 +33,9 @@ pub fn small_world(seed: u64, services: usize) -> (World, Vec<ServiceId>) {
     (world, services)
 }
 
-/// Live instances per host of `services`, counted from the instance
-/// registry (`alive_instances_of` and `host_of`). The residency index
-/// must hold exactly these counts.
+/// Live instances per host of `services`, counted from each service's
+/// live ids (`alive_instances_of`) and the registry's hosts (`host_of`).
+/// The residency index must hold exactly these counts.
 pub fn live_per_host(world: &World, services: &[ServiceId]) -> BTreeMap<HostId, usize> {
     let mut per_host = BTreeMap::new();
     for &service in services {

@@ -19,10 +19,36 @@ use eaao_oracle::schedule::{apply, Session};
 fn check_invariants(world: &World, services: &[ServiceId]) -> Result<(), TestCaseError> {
     let occupancy = world.occupancy();
     let dc = world.data_center();
-    // 1. The residency index matches the instance registry.
+    // 1. Each service's live ids are strictly ascending, alive, its own,
+    //    and as many as it counts. Both oracle engines share `World`'s
+    //    per-service bookkeeping, so the differential cannot see a fault
+    //    in it; this check can, and it runs first because the checks
+    //    below count from these lists.
+    for &service in services {
+        let ids = world.alive_instances_of(service);
+        prop_assert!(
+            ids.windows(2).all(|pair| pair[0] < pair[1]),
+            "{} live ids not strictly ascending: {:?}",
+            service,
+            ids
+        );
+        for &id in &ids {
+            let instance = world.instance(id);
+            prop_assert!(instance.is_alive(), "{} lists dead {}", service, id);
+            prop_assert_eq!(
+                instance.service(),
+                service,
+                "{} lists {} of another service",
+                service,
+                id
+            );
+        }
+        prop_assert_eq!(ids.len(), world.alive_count(service), "{} count", service);
+    }
+    // 2. The residency index matches the instance registry.
     let alive_total: usize = services.iter().map(|&s| world.alive_count(s)).sum();
     prop_assert_eq!(occupancy.len(), alive_total, "residency index out of sync");
-    // 2. No host exceeds its capacity.
+    // 3. No host exceeds its capacity.
     for host in dc.host_ids() {
         prop_assert!(
             occupancy.count(host) <= dc.host_capacity(),
@@ -30,8 +56,8 @@ fn check_invariants(world: &World, services: &[ServiceId]) -> Result<(), TestCas
             host
         );
     }
-    // 3. Every host's residency count is the number of live instances
-    //    the registry places on it; with 1., no other host counts any.
+    // 4. Every host's residency count is the number of live instances
+    //    the registry places on it; with 2., no other host counts any.
     let per_host = common::live_per_host(world, services);
     for (&host, &live) in &per_host {
         prop_assert_eq!(
@@ -42,7 +68,7 @@ fn check_invariants(world: &World, services: &[ServiceId]) -> Result<(), TestCas
         );
     }
     prop_assert_eq!(occupancy.len(), per_host.values().sum::<usize>());
-    // 4. The engine's free-slot index agrees with ground truth.
+    // 5. The engine's free-slot index agrees with ground truth.
     let ground_truth: u64 = dc
         .host_ids()
         .map(|h| (dc.host_capacity() - occupancy.count(h)) as u64)
@@ -68,7 +94,7 @@ proptest! {
             // Ops may legitimately fail (cap/capacity); must not corrupt.
             let _ = apply(&mut world, &services, op);
             check_invariants(&world, &services)?;
-            // 5. Billing is monotone.
+            // 6. Billing is monotone.
             let billed_now = world.billed().as_usd();
             prop_assert!(
                 billed_now >= billed_before - 1e-12,
@@ -76,7 +102,7 @@ proptest! {
             );
             billed_before = billed_now;
         }
-        // 6. After a full teardown and a reaper cycle, nothing is left.
+        // 7. After a full teardown and a reaper cycle, nothing is left.
         for &s in &services {
             world.kill_all(s);
         }
